@@ -25,6 +25,7 @@ from .lexicon import FoundationMap, parse_mfd_dic, score_by_community
 from .modularity import d_modularity_report
 from .pareto import CriterionSpec, Direction, ParetoPoint, pareto_frontier
 from .pipeline import (
+    DEFAULT_PRIMARY_RHO,
     AnalysisConfig,
     detect_membership,
     emit_plot_data,
@@ -235,9 +236,16 @@ def _cmd_run(args) -> int:
 
     seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
     rhos = tuple(args.rho) if args.rho else tuple(raw.get("rhos", [0.5, 0.75, 1.0]))
-    primary = float(raw.get("primaryRho", 0.75))
-    if primary not in rhos:
-        primary = rhos[len(rhos) // 2]
+    if raw.get("primaryRho") is not None:
+        primary = float(raw["primaryRho"])
+        if primary not in rhos:
+            print(
+                f"radscales: error: primaryRho {primary} is not among the rhos {list(rhos)}",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
+    else:
+        primary = DEFAULT_PRIMARY_RHO if DEFAULT_PRIMARY_RHO in rhos else rhos[len(rhos) // 2]
     min_size = args.min_community_size if args.min_community_size is not None else raw.get("minCommunitySize", AUTO)
     if min_size != AUTO:
         min_size = int(min_size)
@@ -251,8 +259,8 @@ def _cmd_run(args) -> int:
             max_passes=int(raw.get("maxPasses", 20)),
             min_gain_epsilon=float(raw.get("minGainEpsilon", 1e-7)),
         ),
-        include_shares=bool(args.include_shares or raw.get("includeShares", False)),
     )
+    include_shares = bool(args.include_shares or raw.get("includeShares", False))
     windows = tuple(parse_window(w) for w in args.window) if args.window else _windows_from_config(raw["windows"])
     out_dir = Path(args.out_dir) if args.out_dir else base / raw.get("outDir", "out")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -303,7 +311,7 @@ def _cmd_run(args) -> int:
             membership,
             lexicon,
             foundation_map,
-            include_shares=config.include_shares,
+            include_shares=include_shares,
         )
         write_json([r.to_dict() for r in speech], out_dir / "speech.json")
         for report in speech:

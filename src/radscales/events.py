@@ -19,6 +19,8 @@ from .graph import Graph, build_graph
 from .lexicon import tokenize
 
 EVENT_KINDS = ("retweet", "reply", "mention", "other")
+# Record fields that, when present and not null, must be strings.
+_STRING_FIELDS = ("source", "target", "author", "text", "timestamp")
 
 
 def parse_timestamp(value: str) -> datetime:
@@ -90,9 +92,16 @@ def _event_from_record(record: dict) -> Event | None:
     kind = record.get("kind")
     if kind not in EVENT_KINDS:
         return None
+    if any(
+        record.get(name) is not None and not isinstance(record[name], str)
+        for name in _STRING_FIELDS
+    ):
+        return None
+    if record.get("timestamp") is None:
+        return None
     try:
         timestamp = parse_timestamp(record["timestamp"])
-    except (KeyError, TypeError, ValueError):
+    except (ValueError, OverflowError):
         return None
     source = record.get("source") or None
     target = record.get("target") or None

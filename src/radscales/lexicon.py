@@ -10,6 +10,7 @@ how many of the axis's categories it hits.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -52,6 +53,7 @@ class Lexicon:
     _prefixes: dict[str, list[tuple[str, frozenset[int]]]] = field(
         init=False, repr=False, compare=False
     )
+    _memo: dict[str, frozenset[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         exact: dict[str, set[int]] = {}
@@ -73,14 +75,22 @@ class Lexicon:
                 for ch, bucket in prefixes.items()
             },
         )
+        object.__setattr__(self, "_memo", {})
 
     def category_ids_for(self, token: str) -> frozenset[int]:
-        """All category ids the token matches (exact or prefix)."""
-        ids: set[int] = set(self._exact.get(token, ()))
-        for pattern, pattern_ids in self._prefixes.get(token[:1], ()):
-            if token.startswith(pattern):
-                ids.update(pattern_ids)
-        return frozenset(ids)
+        """All category ids the token matches (exact or prefix).
+
+        Each distinct token is looked up once per lexicon and remembered,
+        so the memo grows with the vocabulary of the texts scored.
+        """
+        ids = self._memo.get(token)
+        if ids is None:
+            found: set[int] = set(self._exact.get(token, ()))
+            for pattern, pattern_ids in self._prefixes.get(token[:1], ()):
+                if token.startswith(pattern):
+                    found.update(pattern_ids)
+            ids = self._memo[token] = frozenset(found)
+        return ids
 
     def ids_for_names(self, names: Iterable[str]) -> frozenset[int]:
         by_name = {name: cid for cid, name in self.categories.items()}
@@ -184,11 +194,15 @@ def parse_mfd_dic(stream: IO[str] | Iterable[str]) -> Lexicon:
     return Lexicon(categories=categories, entries=tuple(entries))
 
 
+def _letter_runs(text: str) -> list[str]:
+    """Letter sequences outside URLs and @-handles, case preserved."""
+    return _WORD_RE.findall(_HANDLE_RE.sub(" ", _URL_RE.sub(" ", text)))
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercased letter-sequence tokens; URLs, @-handles, digits and
     punctuation are dropped, diacritics preserved."""
-    cleaned = _HANDLE_RE.sub(" ", _URL_RE.sub(" ", text))
-    return [match.lower() for match in _WORD_RE.findall(cleaned)]
+    return [match.lower() for match in _letter_runs(text)]
 
 
 def score_corpus(
@@ -203,19 +217,22 @@ def score_corpus(
     that axis. Raises EmptyCorpusError when the corpus has no tokens.
     """
     axis_ids = foundation_map.axis_ids(lexicon)
-    totals = {axis: 0 for axis in axis_ids}
-    token_count = 0
+    # Lowercase each distinct raw match, never a whole document: lowercasing
+    # can change the letter runs (e.g. "İ" becomes "i" plus a combining dot).
+    runs: Counter[str] = Counter()
     for doc in docs:
-        for token in tokenize(doc):
-            token_count += 1
-            matched = lexicon.category_ids_for(token)
-            if not matched:
-                continue
-            for axis, ids in axis_ids.items():
-                if matched & ids:
-                    totals[axis] += 1
+        runs.update(_letter_runs(doc))
+    token_count = sum(runs.values())
     if token_count == 0:
         raise EmptyCorpusError(label)
+    totals = {axis: 0 for axis in axis_ids}
+    for run, count in runs.items():
+        matched = lexicon.category_ids_for(run.lower())
+        if not matched:
+            continue
+        for axis, ids in axis_ids.items():
+            if matched & ids:
+                totals[axis] += count
     return FoundationScores(
         community_label=label,
         token_count=token_count,

@@ -43,7 +43,6 @@ class AnalysisConfig:
     min_community_size: int | str = AUTO
     kinds: tuple[str, ...] = DEFAULT_KINDS
     detection: DetectionConfig = field(default_factory=DetectionConfig)
-    include_shares: bool = False
 
     def __post_init__(self):
         if self.primary_rho not in self.rhos:

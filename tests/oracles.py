@@ -4,6 +4,9 @@ share no code path with the library."""
 
 from __future__ import annotations
 
+import re
+from typing import Iterable, Mapping, Sequence
+
 from radscales.graph import Graph, Partition
 from radscales.pareto import CriterionSpec, ParetoPoint, dominates
 
@@ -86,3 +89,46 @@ def all_pairs_frontier(points: list[ParetoPoint], criteria: list[CriterionSpec])
         ):
             kept.add(candidate.label)
     return kept
+
+
+def foundation_scores(
+    dic_text: str, axes: Mapping[str, Sequence[str]], docs: Iterable[str]
+) -> tuple[int, dict[str, float]]:
+    """Token count and per-axis frequencies by definition.
+
+    A token is a letter run outside URLs and @-handles, lowercased on its
+    own. It hits an axis when some dictionary entry naming one of the axis's
+    categories equals it, or for a ``pattern*`` entry starts it; every entry
+    is scanned for every token. The frequencies are empty when there are no
+    tokens.
+    """
+    url = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
+    handle = re.compile(r"@\w+")
+    word = re.compile(r"[^\W\d_]+", re.UNICODE)
+    names: dict[str, str] = {}
+    entries: list[tuple[str, bool, set[str]]] = []
+    section = 0
+    for line in dic_text.splitlines():
+        parts = line.split()
+        if parts == ["%"]:
+            section += 1
+        elif parts and section == 1:
+            names[parts[0]] = " ".join(parts[1:])
+        elif parts and section == 2:
+            pattern = parts[0].lower()
+            entries.append((pattern.removesuffix("*"), pattern.endswith("*"), {names[i] for i in parts[1:]}))
+    tokens = []
+    for doc in docs:
+        tokens += [m.lower() for m in word.findall(handle.sub(" ", url.sub(" ", doc)))]
+    hits = dict.fromkeys(axes, 0)
+    for token in tokens:
+        for axis, axis_names in axes.items():
+            if any(
+                (token.startswith(pattern) if is_prefix else token == pattern)
+                and categories & set(axis_names)
+                for pattern, is_prefix, categories in entries
+            ):
+                hits[axis] += 1
+    if not tokens:
+        return 0, {}
+    return len(tokens), {axis: hits[axis] / len(tokens) for axis in axes}

@@ -215,6 +215,74 @@ def test_run_with_external_membership(tmp_path):
     assert {c["label"] for c in structural[0]["communities"]} == {"a", "b", "c"}
 
 
+# Each record has one present field that is not a string; each reached a
+# traceback (exit 3) in a different stage when it was accepted.
+NON_STRING_RECORDS = {
+    # scored as speech: TypeError in tokenize
+    "list-text": {"author": "a00", "text": ["ordem"], "timestamp": "2022-09-20T00:00:00Z", "kind": "other"},
+    # AttributeError in parse_timestamp
+    "int-timestamp": {"source": "a00", "target": "a01", "timestamp": 5, "kind": "retweet"},
+    # a graph vertex: TypeError when sorting user ids
+    "int-source": {"source": 7, "target": "a00", "timestamp": "2022-09-20T00:00:00Z", "kind": "retweet"},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NON_STRING_RECORDS))
+def test_run_skips_non_string_fields(tmp_path, capsys, shape):
+    config = write_run_dir(tmp_path)
+    events = tmp_path / "events.jsonl"
+    bad = json.dumps(NON_STRING_RECORDS[shape]) + "\n"
+    with events.open("a", encoding="utf-8") as fh:
+        fh.write(bad)
+    assert run_cli("run", "--config", config) == 0
+    events.write_text(bad, encoding="utf-8")
+    assert run_cli("run", "--config", config) == 2
+    assert "no valid event records" in capsys.readouterr().err
+
+
+def test_run_rejects_primary_rho_outside_rhos(tmp_path, capsys):
+    config = write_run_dir(tmp_path)
+    code = run_cli("run", "--config", config, "--rho", "0.5", "--rho", "1.0")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "primaryRho 0.75" in err and "[0.5, 1.0]" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_without_primary_rho_takes_middle_rho(tmp_path):
+    config_path = write_run_dir(tmp_path)
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    del config["primaryRho"]
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert run_cli("run", "--config", config_path, "--rho", "0.5", "--rho", "1.0") == 0
+    structural = json.loads((tmp_path / "out" / "structural.json").read_text(encoding="utf-8"))
+    assert {r["parameters"]["primaryRho"] for r in structural} == {1.0}
+
+
+def test_run_include_shares_from_flag_or_config(tmp_path):
+    shared = {"source": "a00", "target": "a01", "text": "justo justo", "timestamp": "2022-09-20T00:00:00Z", "kind": "retweet"}
+
+    def sharer_fairness(name, extra_args=(), config_update=None) -> float:
+        base = tmp_path / name
+        config_path = write_run_dir(base)
+        with (base / "events.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(shared) + "\n")
+        if config_update:
+            config = json.loads(config_path.read_text(encoding="utf-8"))
+            config.update(config_update)
+            config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert run_cli("run", "--config", config_path, *extra_args) == 0
+        membership = (base / "out" / "membership.tsv").read_text(encoding="utf-8")
+        community = dict(line.split("\t") for line in membership.splitlines())["a00"]
+        speech = json.loads((base / "out" / "speech.json").read_text(encoding="utf-8"))
+        (row,) = [c for c in speech[0]["communities"] if c["community"] == community]
+        return row["scores"]["Fairness"]
+
+    assert sharer_fairness("posts") == 0.0
+    assert sharer_fairness("flag", ["--include-shares"]) > 0.0
+    assert sharer_fairness("config", config_update={"includeShares": True}) > 0.0
+
+
 def test_detect_on_event_range(tmp_path, capsys):
     events = tmp_path / "events.jsonl"
     write_stream(events)

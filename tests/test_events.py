@@ -47,6 +47,43 @@ def test_ingest_skips_bad_json_and_unknown_kind():
     assert log.skipped == 2
 
 
+# Record shapes with a present, non-null field that is not a string.
+NON_STRING_FIELDS = {
+    "list-text": dict(author="a", text=["bom", "dia"], timestamp="2022-09-20T00:00:00Z", kind="other"),
+    "int-timestamp": dict(source="a", target="b", timestamp=5, kind="retweet"),
+    "int-source": dict(source=7, target="b", timestamp="2022-09-20T00:00:00Z", kind="retweet"),
+    "float-target": dict(source="a", target=7.5, timestamp="2022-09-20T00:00:00Z", kind="retweet"),
+    "dict-author": dict(author={"id": 1}, text="oi", timestamp="2022-09-20T00:00:00Z", kind="other"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NON_STRING_FIELDS))
+def test_ingest_skips_non_string_field(shape):
+    log = ingest_events(VALID + [record(**NON_STRING_FIELDS[shape])])
+    assert len(log) == 3
+    assert log.skipped == 1
+    with pytest.raises(NoEventsError):
+        ingest_events([record(**NON_STRING_FIELDS[shape])])
+
+
+def test_ingest_null_fields_count_as_absent():
+    lines = [
+        record(source="a", target=None, author=None, text="bom dia", timestamp="2022-09-20T00:00:00Z", kind="other"),
+        record(source="a", target="b", timestamp=None, kind="retweet"),
+    ]
+    log = ingest_events(lines)
+    assert [e.speaker for e in log] == ["a"]
+    assert log.skipped == 1
+
+
+def test_ingest_skips_timestamp_out_of_range():
+    # valid ISO text whose UTC conversion leaves the datetime range
+    lines = VALID + [record(source="a", target="b", timestamp="0001-01-01T00:00:00+01:00", kind="retweet")]
+    log = ingest_events(lines)
+    assert len(log) == 3
+    assert log.skipped == 1
+
+
 def test_ingest_empty_stream_fatal():
     with pytest.raises(NoEventsError):
         ingest_events([])

@@ -18,6 +18,8 @@ from radscales.errors import (
     UnknownCategoryError,
 )
 
+from .oracles import foundation_scores
+
 SAMPLE_DIC = """\
 %
 1\tFairnessVirtue
@@ -227,3 +229,77 @@ def test_frequencies_bounded(docs):
         return
     for value in scores.per_foundation.values():
         assert 0.0 <= value <= 1.0
+
+
+# SAMPLE_DIC plus a dotted-capital-I prefix pattern, which lowercases to
+# "i" followed by a combining dot, and an entry in two axes.
+DIFF_DIC = SAMPLE_DIC + "İnanç*\t3 5\nsaf\t7\n"
+PATTERNS = ["fair", "unfair", "loyal", "traitor", "obey", "defy", "pure", "impure", "justo", "İnanç", "saf"]
+NOISE = [
+    "İstanbul", "İNANÇLI", "http://fair.example/obey", "HTTPS://x.co", "WWW.Loyal.org/pure",
+    "www.a.b", "@loyal", "@Fair_2", "2022", "fair2day", "obey_", "!!", "...", "#pure", "é",
+]
+WORDS = st.builds(
+    lambda pattern, suffix, case: case(pattern + suffix),
+    st.sampled_from(PATTERNS),
+    st.sampled_from(["", "s", "ty", "ness", "ed", "ı"]),
+    st.sampled_from([str.lower, str.upper, str.title, str.capitalize]),
+)
+DOCS = st.builds(
+    "".join,
+    st.lists(
+        st.builds(
+            str.__add__,
+            st.one_of(WORDS, st.sampled_from(NOISE), st.text(max_size=4)),
+            st.sampled_from([" ", "", ",", "\n"]),
+        ),
+        max_size=12,
+    ),
+)
+CORPORA = st.lists(DOCS, max_size=5)
+
+
+def _assert_matches_oracle(lexicon, fmap, docs):
+    count, expected = foundation_scores(DIFF_DIC, fmap.axes, docs)
+    if count == 0:
+        with pytest.raises(EmptyCorpusError):
+            score_corpus(lexicon, fmap, docs, "x")
+        return
+    scores = score_corpus(lexicon, fmap, docs, "x")
+    assert scores.token_count == count
+    assert scores.per_foundation == expected
+
+
+@given(CORPORA, CORPORA)
+def test_scores_match_naive_oracle(first, second):
+    fmap = FoundationMap.default()
+    # one lexicon per order, so each corpus is also scored on a warm memo
+    for corpora in ((first, second), (second, first)):
+        lex = parse_mfd_dic(io.StringIO(DIFF_DIC))
+        for docs in corpora:
+            _assert_matches_oracle(lex, fmap, docs)
+
+
+def test_dotted_capital_i_is_lowercased_per_token(fmap):
+    lex = parse_mfd_dic(io.StringIO(DIFF_DIC))
+    assert tokenize("İNANÇLI İstanbul") == ["i̇nançli", "i̇stanbul"]
+    scores = score_corpus(lex, fmap, ["İNANÇLI İstanbul"], "x")
+    assert scores.token_count == 2
+    assert scores.per_foundation["IngroupLoyalty"] == 0.5
+    assert scores.per_foundation["Authority"] == 0.5
+
+
+def test_scoring_leaves_lexicon_unchanged(fmap):
+    docs = [
+        "Obey the LOYAL traitors, İnançlı fair-minded unfairness",
+        "pure PURITY defy İstanbul saf",
+        "http://loyal.example @obey justo",
+    ]
+    lex = parse_mfd_dic(io.StringIO(DIFF_DIC))
+    before = repr(lex)
+    score_corpus(lex, fmap, docs, "x")
+    assert lex == parse_mfd_dic(io.StringIO(DIFF_DIC))
+    assert repr(lex) == before
+    for token in {t for doc in docs for t in tokenize(doc)}:
+        fresh = parse_mfd_dic(io.StringIO(DIFF_DIC))
+        assert lex.category_ids_for(token) == fresh.category_ids_for(token), token
