@@ -7,21 +7,13 @@ communities, plus an end-to-end windowed pipeline and CLI.
 """
 
 from .community import (
-    AUTO,
     DetectionConfig,
     DetectionResult,
     detect,
-    detect_communities,
     filter_by_size,
-    minimum_detectable_size,
     resolution_size_threshold,
 )
-from .domination import (
-    DominationResult,
-    brute_force_min_pds,
-    coverage,
-    greedy_partial_dominating_set,
-)
+from .domination import DominationResult, greedy_partial_dominating_set
 from .errors import RadscalesError
 from .events import (
     Event,
@@ -49,15 +41,10 @@ from .lexicon import (
     score_corpus,
     tokenize,
 )
-from .modularity import (
-    ModularityReport,
-    d_modularity,
-    d_modularity_report,
-    group_contribution,
-    modularity,
-)
+from .modularity import ModularityReport, d_modularity_report, modularity
 from .pareto import CriterionSpec, Direction, ParetoPoint, dominates, pareto_frontier
 from .pipeline import (
+    AUTO,
     AnalysisConfig,
     SpeechReport,
     StructuralReport,
@@ -97,25 +84,19 @@ __all__ = [
     "SpeechReport",
     "StructuralReport",
     "WindowSpec",
-    "brute_force_min_pds",
     "build_graph",
     "build_interaction_graph",
-    "coverage",
-    "d_modularity",
     "d_modularity_report",
     "detect",
-    "detect_communities",
     "dominates",
     "emit_plot_data",
     "filter_by_size",
     "greedy_partial_dominating_set",
-    "group_contribution",
     "hub_hierarchy_graph",
     "induced_subgraph",
     "ingest_events",
     "load_edge_list",
     "load_partition",
-    "minimum_detectable_size",
     "modularity",
     "pareto_frontier",
     "parse_mfd_dic",

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .community import AUTO, DetectionConfig, detect
+from .community import DetectionConfig, detect
 from .domination import greedy_partial_dominating_set
 from .errors import MalformedLineError, RadscalesError
 from .events import WindowSpec, build_interaction_graph, ingest_events, parse_timestamp, slice_window
@@ -25,7 +25,10 @@ from .lexicon import FoundationMap, parse_mfd_dic, score_by_community
 from .modularity import d_modularity_report
 from .pareto import CriterionSpec, Direction, ParetoPoint, pareto_frontier
 from .pipeline import (
+    AUTO,
+    DEFAULT_KINDS,
     DEFAULT_PRIMARY_RHO,
+    DEFAULT_RHOS,
     AnalysisConfig,
     detect_membership,
     emit_plot_data,
@@ -151,7 +154,7 @@ def _cmd_dmod(args) -> int:
 def _cmd_dominate(args) -> int:
     with open(args.edges, "r", encoding="utf-8") as fh:
         graph = load_edge_list(fh)
-    rhos = args.rho or [0.5, 0.75, 1.0]
+    rhos = args.rho or DEFAULT_RHOS
     if args.partition:
         with open(args.partition, "r", encoding="utf-8") as fh:
             partition = load_partition(fh, graph)
@@ -225,6 +228,11 @@ def _cmd_pareto(args) -> int:
     return EXIT_OK
 
 
+def _usage_error(message: str) -> int:
+    print(f"radscales: error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _cmd_run(args) -> int:
     config_path = Path(args.config)
     with config_path.open("r", encoding="utf-8") as fh:
@@ -234,16 +242,15 @@ def _cmd_run(args) -> int:
     def resolve(key: str) -> Path | None:
         return base / raw[key] if raw.get(key) else None
 
-    seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
-    rhos = tuple(args.rho) if args.rho else tuple(raw.get("rhos", [0.5, 0.75, 1.0]))
+    defaults = DetectionConfig()
+    seed = args.seed if args.seed is not None else int(raw.get("seed", defaults.seed))
+    rhos = tuple(args.rho) if args.rho else tuple(raw.get("rhos", DEFAULT_RHOS))
+    if not rhos:
+        return _usage_error("rhos must list at least one coverage fraction")
     if raw.get("primaryRho") is not None:
         primary = float(raw["primaryRho"])
         if primary not in rhos:
-            print(
-                f"radscales: error: primaryRho {primary} is not among the rhos {list(rhos)}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+            return _usage_error(f"primaryRho {primary} is not among the rhos {list(rhos)}")
     else:
         primary = DEFAULT_PRIMARY_RHO if DEFAULT_PRIMARY_RHO in rhos else rhos[len(rhos) // 2]
     min_size = args.min_community_size if args.min_community_size is not None else raw.get("minCommunitySize", AUTO)
@@ -253,11 +260,11 @@ def _cmd_run(args) -> int:
         rhos=rhos,
         primary_rho=primary,
         min_community_size=min_size,
-        kinds=tuple(raw.get("kinds", ["retweet"])),
+        kinds=tuple(raw.get("kinds", DEFAULT_KINDS)),
         detection=DetectionConfig(
             seed=seed,
-            max_passes=int(raw.get("maxPasses", 20)),
-            min_gain_epsilon=float(raw.get("minGainEpsilon", 1e-7)),
+            max_passes=int(raw.get("maxPasses", defaults.max_passes)),
+            min_gain_epsilon=float(raw.get("minGainEpsilon", defaults.min_gain_epsilon)),
         ),
     )
     include_shares = bool(args.include_shares or raw.get("includeShares", False))
@@ -352,6 +359,7 @@ def _cmd_fixtures(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    detection = DetectionConfig()
     parser = _Parser(prog="radscales", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -370,9 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start")
     p.add_argument("--end")
     p.add_argument("--kinds", nargs="+", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-passes", type=int, default=20)
-    p.add_argument("--min-gain", type=float, default=1e-7)
+    p.add_argument("--seed", type=int, default=detection.seed)
+    p.add_argument("--max-passes", type=int, default=detection.max_passes)
+    p.add_argument("--min-gain", type=float, default=detection.min_gain_epsilon)
     p.add_argument("--out", required=True, help="partition file to write")
     p.add_argument("--log", help="detection log JSON (per-pass modularity)")
     p.set_defaults(func=_cmd_detect)

@@ -17,24 +17,18 @@ from .errors import EmptyGraphError
 from .graph import Graph, Partition
 from .modularity import modularity
 
-# Sentinel for "use the resolution-limit threshold of the graph at hand".
-AUTO = "auto"
-
 
 @dataclass(frozen=True)
 class DetectionConfig:
     seed: int = 0
     max_passes: int = 20
     min_gain_epsilon: float = 1e-7
-    min_community_size: int | str = AUTO
 
     def __post_init__(self):
         if self.max_passes < 1:
             raise ValueError("max_passes must be >= 1")
         if self.min_gain_epsilon <= 0:
             raise ValueError("min_gain_epsilon must be > 0")
-        if isinstance(self.min_community_size, str) and self.min_community_size != AUTO:
-            raise ValueError(f"min_community_size must be an int or {AUTO!r}")
 
 
 @dataclass(frozen=True)
@@ -162,11 +156,6 @@ def detect(graph: Graph, config: DetectionConfig | None = None) -> DetectionResu
     return DetectionResult(partition=partition, pass_modularity=tuple(pass_log), seed=config.seed)
 
 
-def detect_communities(graph: Graph, config: DetectionConfig | None = None) -> Partition:
-    """Detected partition with densely indexed groups (labels c0..ck-1)."""
-    return detect(graph, config).partition
-
-
 def resolution_size_threshold(edge_count: int) -> int:
     """Smallest community size not attributable to an arbitrary merge,
     ceil(sqrt(2L)) for L total links."""
@@ -177,26 +166,19 @@ def resolution_size_threshold(edge_count: int) -> int:
     return math.isqrt(2 * edge_count - 1) + 1
 
 
-def minimum_detectable_size(graph: Graph) -> int:
-    return resolution_size_threshold(graph.m)
-
-
 def filter_by_size(
     partition: Partition,
-    graph: Graph,
-    min_size: int | str = AUTO,
+    min_size: int,
 ) -> tuple[Partition, tuple[int, ...]]:
     """Merge groups smaller than *min_size* into a residual group.
 
-    AUTO resolves the threshold to minimum_detectable_size(graph). Kept
-    groups are re-indexed in original order and keep their labels; the
+    Kept groups are re-indexed in original order and keep their labels; the
     residual group comes last, labeled "other". Returns the new partition
     and the kept groups' original indices. When nothing falls below the
     threshold the partition is returned unchanged.
     """
-    threshold = minimum_detectable_size(graph) if min_size == AUTO else int(min_size)
     sizes = partition.sizes()
-    kept = tuple(i for i, s in enumerate(sizes) if s >= threshold)
+    kept = tuple(i for i, s in enumerate(sizes) if s >= min_size)
     if len(kept) == partition.group_count:
         return partition, kept
     remap = {old: new for new, old in enumerate(kept)}

@@ -3,8 +3,7 @@
 A vertex covers its closed neighborhood (itself plus its neighbors). The
 greedy heuristic repeatedly picks the vertex covering the most yet-uncovered
 vertices (ties to the smallest index) via a lazy max-heap, so it stays
-O((n + m) log n) and fits community-scale graphs. The brute-force solver is
-an exhaustive bitmask oracle for small graphs.
+O((n + m) log n) and fits community-scale graphs.
 """
 
 from __future__ import annotations
@@ -12,21 +11,17 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Sequence
 
-from .errors import EmptyGraphError, GraphTooLargeError, InvalidRhoError
+from .errors import EmptyGraphError, InvalidRhoError
 from .graph import Graph
-
-BRUTE_FORCE_LIMIT = 25
 
 
 @dataclass(frozen=True)
 class DominationResult:
     """Outcome of a (partial) domination run.
 
-    ``authorities`` is ordered: greedy pick order, or ascending indices for
-    the exhaustive solver. No proper prefix reaches the target on its own.
+    ``authorities`` is in greedy pick order. No proper prefix reaches the
+    target on its own.
     """
 
     authorities: tuple[int, ...]
@@ -61,53 +56,7 @@ def _coverage_target(rho: float, n: int) -> int:
     return math.ceil(raw)
 
 
-def _reach_lists(graph: Graph, reach: Sequence[Iterable[int]] | None) -> list[tuple[int, ...]]:
-    """Closed reach per vertex: the vertex itself plus its neighbors.
-
-    ``reach`` defaults to the graph adjacency; pass out-neighbor lists to
-    get directed domination instead.
-    """
-    n = graph.n
-    if reach is None:
-        return [(v, *graph.adjacency[v]) for v in range(n)]
-    if len(reach) != n:
-        raise ValueError("reach must list covered vertices for every vertex")
-    lists = []
-    for v in range(n):
-        out = []
-        seen = {v}
-        for u in reach[v]:
-            if not 0 <= u < n:
-                raise IndexError(f"vertex index {u} out of range")
-            if u not in seen:
-                seen.add(u)
-                out.append(u)
-        lists.append((v, *out))
-    return lists
-
-
-def coverage(
-    graph: Graph,
-    vertices: Iterable[int],
-    *,
-    reach: Sequence[Iterable[int]] | None = None,
-) -> int:
-    """Number of vertices in the union of closed neighborhoods of *vertices*."""
-    lists = _reach_lists(graph, reach)
-    covered: set[int] = set()
-    for v in vertices:
-        if not 0 <= v < graph.n:
-            raise IndexError(f"vertex index {v} out of range")
-        covered.update(lists[v])
-    return len(covered)
-
-
-def greedy_partial_dominating_set(
-    graph: Graph,
-    rho: float,
-    *,
-    reach: Sequence[Iterable[int]] | None = None,
-) -> DominationResult:
+def greedy_partial_dominating_set(graph: Graph, rho: float) -> DominationResult:
     """Greedy authority set reaching at least ceil(rho * n) vertices.
 
     Each iteration adds the vertex covering the most yet-uncovered
@@ -119,12 +68,8 @@ def greedy_partial_dominating_set(
     if n == 0:
         raise EmptyGraphError("domination needs at least one vertex")
     target = _coverage_target(rho, n)
-    lists = _reach_lists(graph, reach)
-    # coverers[u]: vertices whose closed reach includes u (gain bookkeeping)
-    coverers: list[list[int]] = [[] for _ in range(n)]
-    for v, covered_by_v in enumerate(lists):
-        for u in covered_by_v:
-            coverers[u].append(v)
+    # Closed neighborhoods are symmetric: the vertices covering u are N[u].
+    lists = [(v, *graph.adjacency[v]) for v in range(n)]
     gain = [len(covered_by_v) for covered_by_v in lists]
     heap = [(-gain[v], v) for v in range(n)]
     heapq.heapify(heap)
@@ -140,8 +85,7 @@ def greedy_partial_dominating_set(
         else:
             raise AssertionError("no vertex adds coverage before target met")
         if gain[v] == 0:
-            # Unreachable with closed reach: every uncovered vertex covers
-            # at least itself.
+            # Unreachable: every uncovered vertex covers at least itself.
             raise AssertionError("zero-gain pick before target met")
         picked[v] = True
         picks.append(v)
@@ -150,7 +94,7 @@ def greedy_partial_dominating_set(
                 continue
             covered[u] = True
             covered_count += 1
-            for w in coverers[u]:
+            for w in lists[u]:
                 gain[w] -= 1
                 if not picked[w]:
                     heapq.heappush(heap, (-gain[w], w))
@@ -161,43 +105,3 @@ def greedy_partial_dominating_set(
         covered_count=covered_count,
         graph_size=n,
     )
-
-
-def brute_force_min_pds(
-    graph: Graph,
-    rho: float,
-    *,
-    reach: Sequence[Iterable[int]] | None = None,
-) -> DominationResult:
-    """Minimum-cardinality set reaching ceil(rho * n) vertices, by exhaustion.
-
-    Enumerates subsets by increasing cardinality, so the returned set is
-    the lexicographically smallest among the minimum ones. Validation
-    oracle only: refuses graphs with more than BRUTE_FORCE_LIMIT vertices.
-    """
-    n = graph.n
-    if n == 0:
-        raise EmptyGraphError("domination needs at least one vertex")
-    if n > BRUTE_FORCE_LIMIT:
-        raise GraphTooLargeError(n, BRUTE_FORCE_LIMIT)
-    target = _coverage_target(rho, n)
-    masks = []
-    for covered_by_v in _reach_lists(graph, reach):
-        mask = 0
-        for u in covered_by_v:
-            mask |= 1 << u
-        masks.append(mask)
-    for size in range(n + 1):
-        for subset in combinations(range(n), size):
-            covered = 0
-            for v in subset:
-                covered |= masks[v]
-            if covered.bit_count() >= target:
-                return DominationResult(
-                    authorities=subset,
-                    rho=rho,
-                    target_count=target,
-                    covered_count=covered.bit_count(),
-                    graph_size=n,
-                )
-    raise AssertionError("full vertex set always covers the graph")

@@ -41,25 +41,12 @@ class EmptyGraphError(RadscalesError):
     """The operation needs a graph with at least one edge (or vertex)."""
 
 
-class ZeroModularityError(RadscalesError):
-    """Relative group contributions are undefined when modularity is zero."""
-
-
 class InvalidRhoError(RadscalesError, ValueError):
     """The coverage fraction must lie in (0, 1]."""
 
     def __init__(self, rho: float):
         self.rho = rho
         super().__init__(f"coverage fraction must be in (0, 1], got {rho!r}")
-
-
-class GraphTooLargeError(RadscalesError):
-    """The exhaustive solver refuses graphs beyond its size bound."""
-
-    def __init__(self, n: int, limit: int):
-        self.n = n
-        self.limit = limit
-        super().__init__(f"exhaustive search limited to {limit} vertices, got {n}")
 
 
 class MissingDelimiterError(RadscalesError):

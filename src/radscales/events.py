@@ -27,7 +27,8 @@ def parse_timestamp(value: str) -> datetime:
     """RFC 3339 / ISO timestamp to an aware UTC datetime.
 
     Accepts a trailing 'Z' and date-only strings; naive values are taken
-    as UTC.
+    as UTC. Raises ValueError for unparseable values and for values whose
+    UTC conversion leaves the datetime range.
     """
     text = value.strip()
     if text.endswith(("Z", "z")):
@@ -35,7 +36,10 @@ def parse_timestamp(value: str) -> datetime:
     parsed = datetime.fromisoformat(text)
     if parsed.tzinfo is None:
         return parsed.replace(tzinfo=timezone.utc)
-    return parsed.astimezone(timezone.utc)
+    try:
+        return parsed.astimezone(timezone.utc)
+    except OverflowError as exc:
+        raise ValueError(f"timestamp {value!r} is out of range in UTC") from exc
 
 
 @dataclass(frozen=True)
@@ -101,7 +105,7 @@ def _event_from_record(record: dict) -> Event | None:
         return None
     try:
         timestamp = parse_timestamp(record["timestamp"])
-    except (ValueError, OverflowError):
+    except ValueError:
         return None
     source = record.get("source") or None
     target = record.get("target") or None
@@ -143,7 +147,7 @@ def ingest_events(
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError:
+        except ValueError:  # also integers past the interpreter's digit limit
             skipped += 1
             continue
         event = _event_from_record(record)

@@ -150,33 +150,31 @@ def build_graph(edges: Iterable[tuple[str, str]]) -> Graph:
     )
 
 
-def _split_record(line: str) -> list[str]:
-    # TAB-separated if a TAB is present, otherwise whitespace-separated.
-    if "\t" in line:
-        return [f.strip() for f in line.split("\t")]
-    return line.split()
+def read_pairs(stream: IO[str] | Iterable[str]) -> Iterator[tuple[str, str]]:
+    """Two-field records of a text stream, in order.
 
-
-def load_edge_list(stream: IO[str] | Iterable[str]) -> Graph:
-    """Parse a ``src<TAB>dst`` (or space-separated) edge list.
-
-    Blank lines and lines starting with '#' are skipped. Raises
-    MalformedLineError for lines with other than two fields.
+    Fields are TAB-separated if the line has a TAB, otherwise
+    whitespace-separated. Blank lines and lines starting with '#' are
+    skipped. Raises MalformedLineError for lines with other than two
+    non-empty fields.
     """
-    edges: list[tuple[str, str]] = []
     for line_no, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = _split_record(line)
+        fields = [f.strip() for f in line.split("\t")] if "\t" in line else line.split()
         if len(fields) != 2 or not all(fields):
             raise MalformedLineError(line_no, f"expected two fields, got {len(fields)}")
-        edges.append((fields[0], fields[1]))
-    return build_graph(edges)
+        yield fields[0], fields[1]
+
+
+def load_edge_list(stream: IO[str] | Iterable[str]) -> Graph:
+    """Parse a ``src<TAB>dst`` (or space-separated) edge list of read_pairs records."""
+    return build_graph(read_pairs(stream))
 
 
 def load_partition(stream: IO[str] | Iterable[str], graph: Graph) -> Partition:
-    """Parse ``vertexLabel<TAB>groupLabel`` lines into a partition of *graph*.
+    """Parse ``vertexLabel<TAB>groupLabel`` records into a partition of *graph*.
 
     Group indices follow first-seen order of group labels. Raises
     UnknownVertexError for labels not in the graph, DuplicateAssignmentError
@@ -185,14 +183,7 @@ def load_partition(stream: IO[str] | Iterable[str], graph: Graph) -> Partition:
     """
     group_index: dict[str, int] = {}
     assigned: dict[int, int] = {}
-    for line_no, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = _split_record(line)
-        if len(fields) != 2 or not all(fields):
-            raise MalformedLineError(line_no, f"expected two fields, got {len(fields)}")
-        vertex_label, group_label = fields
+    for vertex_label, group_label in read_pairs(stream):
         if not graph.has_label(vertex_label):
             raise UnknownVertexError(vertex_label)
         v = graph.index_of(vertex_label)

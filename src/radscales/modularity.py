@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyGraphError, ZeroModularityError
+from .errors import EmptyGraphError
 from .graph import Graph, Partition
 
 # Below this magnitude Q is treated as zero and relative contributions
@@ -77,31 +77,6 @@ def modularity(graph: Graph, partition: Partition) -> float:
     _check_inputs(graph, partition)
     in_edges, degree_sums, m = *_group_sums(graph, partition), graph.m
     return sum(_contribution(e, d, m) for e, d in zip(in_edges, degree_sums))
-
-
-def group_contribution(graph: Graph, partition: Partition, group_index: int) -> float:
-    """Absolute contribution Q_i of one group to the network modularity."""
-    _check_inputs(graph, partition)
-    if not 0 <= group_index < partition.group_count:
-        raise IndexError(f"group index {group_index} out of range")
-    in_edges, degree_sums = _group_sums(graph, partition)
-    return _contribution(in_edges[group_index], degree_sums[group_index], graph.m)
-
-
-def d_modularity(graph: Graph, partition: Partition, group_index: int) -> float:
-    """Relative contribution Q_i / Q of one group.
-
-    Raises ZeroModularityError when |Q| is below ZERO_Q_THRESHOLD: the
-    scale is undefined there (e.g. single-group partitions).
-    """
-    _check_inputs(graph, partition)
-    if not 0 <= group_index < partition.group_count:
-        raise IndexError(f"group index {group_index} out of range")
-    in_edges, degree_sums, m = *_group_sums(graph, partition), graph.m
-    q = sum(_contribution(e, d, m) for e, d in zip(in_edges, degree_sums))
-    if abs(q) < ZERO_Q_THRESHOLD:
-        raise ZeroModularityError("relative contribution undefined: Q is zero")
-    return _contribution(in_edges[group_index], degree_sums[group_index], m) / q
 
 
 def d_modularity_report(graph: Graph, partition: Partition) -> ModularityReport:

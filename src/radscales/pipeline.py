@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
-from .community import AUTO, DetectionConfig, DetectionResult, detect, filter_by_size, minimum_detectable_size
+from .community import DetectionConfig, DetectionResult, detect, filter_by_size, resolution_size_threshold
 from .domination import greedy_partial_dominating_set
-from .errors import DuplicateAssignmentError, EmptyCorpusError, MalformedLineError
+from .errors import DuplicateAssignmentError, EmptyCorpusError
 from .events import EventLog, WindowSpec, build_interaction_graph, slice_window
-from .graph import Graph, Partition, induced_subgraph
+from .graph import Graph, Partition, induced_subgraph, read_pairs
 from .lexicon import FoundationMap, FoundationScores, Lexicon, score_corpus
 from .modularity import d_modularity_report
 from .pareto import CriterionSpec, Direction, ParetoPoint, pareto_frontier
@@ -32,6 +32,8 @@ logger = logging.getLogger(__name__)
 DEFAULT_RHOS = (0.5, 0.75, 1.0)
 DEFAULT_PRIMARY_RHO = 0.75
 DEFAULT_KINDS = ("retweet",)
+# Sentinel for "use the resolution-limit threshold of the window graph".
+AUTO = "auto"
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,8 @@ class AnalysisConfig:
     def __post_init__(self):
         if self.primary_rho not in self.rhos:
             raise ValueError("primary_rho must be one of the swept rhos")
+        if isinstance(self.min_community_size, str) and self.min_community_size != AUTO:
+            raise ValueError(f"min_community_size must be an int or {AUTO!r}")
 
 
 @dataclass(frozen=True)
@@ -111,16 +115,9 @@ class SpeechReport:
 
 
 def read_membership(stream: IO[str] | Iterable[str]) -> dict[str, str]:
-    """Parse ``user<TAB>communityLabel`` lines into a membership map."""
+    """Parse ``user<TAB>communityLabel`` records into a membership map."""
     membership: dict[str, str] = {}
-    for line_no, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in line.split("\t")] if "\t" in line else line.split()
-        if len(fields) != 2 or not all(fields):
-            raise MalformedLineError(line_no, f"expected two fields, got {len(fields)}")
-        user, community = fields
+    for user, community in read_pairs(stream):
         if user in membership:
             raise DuplicateAssignmentError(user)
         membership[user] = community
@@ -169,41 +166,24 @@ def _structural_window_report(
     raw_graph = build_interaction_graph(window_events, config.kinds)
     known = [v for v in range(raw_graph.n) if raw_graph.labels[v] in membership]
     graph = induced_subgraph(raw_graph, known)
-    resolved_min = (
-        minimum_detectable_size(graph)
-        if config.min_community_size == AUTO
-        else int(config.min_community_size)
-    )
+    min_size = config.min_community_size
+    resolved_min = resolution_size_threshold(graph.m) if min_size == AUTO else int(min_size)
     partition = _window_partition(graph, membership)
-    filtered, kept = filter_by_size(partition, graph, config.min_community_size)
+    filtered, kept = filter_by_size(partition, resolved_min)
     kept_labels = [partition.group_label(i) for i in kept]
 
-    d_mod: dict[str, float | None] = {}
-    if kept_labels:
-        report = d_modularity_report(graph, filtered)
-        d_mod = {g.label: g.di for g in report.per_group}
-
+    # Kept groups hold indices 0..len(kept)-1 of the filtered partition.
+    per_group = d_modularity_report(graph, filtered).per_group if kept else ()
     sizes = filtered.sizes()
-    label_to_new = {filtered.group_label(i): i for i in range(filtered.group_count)}
-    communities: list[CommunityStructure] = []
+    rows: list[tuple[str, int, float | None, dict[float, int]]] = []
     points: list[ParetoPoint] = []
-    for label in kept_labels:
-        new_index = label_to_new[label]
-        members = filtered.members(new_index)
-        sub = induced_subgraph(graph, members)
+    for new_index, label in enumerate(kept_labels):
+        sub = induced_subgraph(graph, filtered.members(new_index))
         pds_sizes = {
             rho: greedy_partial_dominating_set(sub, rho).size for rho in config.rhos
         }
-        di = d_mod.get(label)
-        communities.append(
-            CommunityStructure(
-                label=label,
-                size=sizes[new_index],
-                d_modularity=di,
-                pds_sizes=pds_sizes,
-                on_frontier=False,
-            )
-        )
+        di = per_group[new_index].di
+        rows.append((label, sizes[new_index], di, pds_sizes))
         if di is None:
             logger.warning(
                 "window %s: community %s has undefined relative modularity; "
@@ -219,24 +199,24 @@ def _structural_window_report(
         CriterionSpec(f"pdsSize@{config.primary_rho}", Direction.LOWER_IS_MORE_RADICAL),
     )
     frontier = pareto_frontier(points, criteria) if points else set()
-    communities = [
+    communities = tuple(
         CommunityStructure(
-            label=c.label,
-            size=c.size,
-            d_modularity=c.d_modularity,
-            pds_sizes=c.pds_sizes,
-            on_frontier=c.label in frontier,
+            label=label,
+            size=size,
+            d_modularity=di,
+            pds_sizes=pds_sizes,
+            on_frontier=label in frontier,
         )
-        for c in communities
-    ]
+        for label, size, di, pds_sizes in rows
+    )
     return StructuralReport(
         window_label=window.label,
-        communities=tuple(communities),
+        communities=communities,
         frontier=tuple(sorted(frontier)),
         parameters={
             "rhos": list(config.rhos),
             "primaryRho": config.primary_rho,
-            "minCommunitySize": config.min_community_size,
+            "minCommunitySize": min_size,
             "resolvedMinSize": resolved_min,
             "kinds": list(config.kinds),
             "seed": seed,

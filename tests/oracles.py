@@ -4,7 +4,9 @@ share no code path with the library."""
 
 from __future__ import annotations
 
+import math
 import re
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from radscales.graph import Graph, Partition
@@ -37,6 +39,48 @@ def pair_sum_group_contribution(graph: Graph, partition: Partition, group: int) 
             a_uv = 1.0 if v in adjacency_sets[u] else 0.0
             total += a_uv - graph.degree(u) * graph.degree(v) / (2.0 * m)
     return total / (2.0 * m)
+
+
+def closed_coverage(graph: Graph, vertices: Iterable[int]) -> int:
+    """Number of vertices in the union of the closed neighborhoods of *vertices*."""
+    covered: set[int] = set()
+    for v in vertices:
+        if not 0 <= v < graph.n:
+            raise IndexError(f"vertex index {v} out of range")
+        covered.add(v)
+        covered.update(graph.neighbors(v))
+    return len(covered)
+
+
+def coverage_target(graph: Graph, rho: float) -> int:
+    """ceil(rho * n), with float fuzz such as 0.3 * 10 snapped down."""
+    return math.ceil(rho * graph.n - 1e-9)
+
+
+def min_partial_dominating_set(graph: Graph, rho: float) -> tuple[tuple[int, ...], int]:
+    """The lexicographically first smallest vertex set covering at least
+    ceil(rho * n) vertices, and how many it covers, by trying every subset
+    in order of size; feasible to roughly 20 vertices."""
+    target = coverage_target(graph, rho)
+    for size in range(graph.n + 1):
+        for subset in combinations(range(graph.n), size):
+            covered = closed_coverage(graph, subset)
+            if covered >= target:
+                return subset, covered
+    raise AssertionError("the full vertex set covers the graph")
+
+
+def greedy_pick_order(graph: Graph, rho: float) -> tuple[int, ...]:
+    """Greedy partial domination by definition: until ceil(rho * n) vertices
+    are covered, pick the vertex whose closed neighborhood adds the most
+    uncovered vertices, the smallest index among ties."""
+    target = coverage_target(graph, rho)
+    picks: list[int] = []
+    while closed_coverage(graph, picks) < target:
+        before = closed_coverage(graph, picks)
+        gains = [closed_coverage(graph, picks + [v]) - before for v in range(graph.n)]
+        picks.append(gains.index(max(gains)))
+    return tuple(picks)
 
 
 def exhaustive_best_partition(graph: Graph) -> tuple[float, list[int]]:

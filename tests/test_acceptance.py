@@ -13,7 +13,6 @@ from radscales import (
     DetectionConfig,
     FoundationMap,
     WindowSpec,
-    brute_force_min_pds,
     d_modularity_report,
     detect,
     greedy_partial_dominating_set,
@@ -29,7 +28,12 @@ from radscales.pipeline import AnalysisConfig
 import io
 
 from .conftest import random_graph, random_partition
-from .oracles import all_pairs_frontier, exhaustive_best_partition, pair_sum_modularity
+from .oracles import (
+    all_pairs_frontier,
+    exhaustive_best_partition,
+    min_partial_dominating_set,
+    pair_sum_modularity,
+)
 from .streams import TEST_DIC, write_run_dir, write_stream
 from .test_community import DEMO_GRAPH_OPTIMAL_Q, DEMO_GRAPH_SEED, two_cliques
 
@@ -56,10 +60,10 @@ def test_criterion_2_authority_scale_golden_values():
     greedy_partial_dominating_set(graph, 1.0)  # warm path before timing
     start = time.perf_counter()
     greedy = greedy_partial_dominating_set(graph, 1.0)
-    exact = brute_force_min_pds(graph, 1.0)
+    exact, _ = min_partial_dominating_set(graph, 1.0)
     elapsed = time.perf_counter() - start
     assert greedy.size == 3
-    assert exact.size == 3
+    assert len(exact) == 3
     assert greedy.covered_count == graph.n
     assert elapsed < 10e-3
 
@@ -91,8 +95,8 @@ def test_criterion_4_greedy_vs_exact_domination():
         results = []
         for rho in rhos:
             greedy = greedy_partial_dominating_set(graph, rho)
-            exact = brute_force_min_pds(graph, rho)
-            assert greedy.size <= bound * exact.size
+            exact, _ = min_partial_dominating_set(graph, rho)
+            assert greedy.size <= bound * len(exact)
             results.append(greedy)
         for prev, nxt in zip(results, results[1:]):
             assert nxt.authorities[: prev.size] == prev.authorities

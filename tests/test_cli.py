@@ -6,16 +6,28 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import radscales
 from radscales.cli import main, parse_window
-from radscales.events import parse_timestamp
+from radscales.events import EVENT_KINDS, parse_timestamp
 
 from .streams import TEST_DIC, write_run_dir, write_stream
 
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def update_config(config_path, **changes):
+    """Rewrite a run config; a change to None deletes the key."""
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    for key, value in changes.items():
+        if value is None:
+            config.pop(key, None)
+        else:
+            config[key] = value
+    config_path.write_text(json.dumps(config), encoding="utf-8")
 
 
 def test_parse_window_date_only():
@@ -257,6 +269,89 @@ def test_run_without_primary_rho_takes_middle_rho(tmp_path):
     assert run_cli("run", "--config", config_path, "--rho", "0.5", "--rho", "1.0") == 0
     structural = json.loads((tmp_path / "out" / "structural.json").read_text(encoding="utf-8"))
     assert {r["parameters"]["primaryRho"] for r in structural} == {1.0}
+
+
+def test_run_rejects_empty_rhos(tmp_path, capsys):
+    config_path = write_run_dir(tmp_path)
+    update_config(config_path, rhos=[], primaryRho=None)
+    assert run_cli("run", "--config", config_path) == 1
+    assert "rhos must list at least one coverage fraction" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# Valid ISO text whose UTC conversion leaves the datetime range.
+OUT_OF_RANGE = "0001-01-01T00:00:00+01:00"
+
+
+def test_run_window_flag_out_of_range(tmp_path, capsys):
+    config = write_run_dir(tmp_path)
+    code = run_cli("run", "--config", config, "--window", f"w:{OUT_OF_RANGE}:2022-01-01")
+    assert code == 2
+    assert "has no parseable start:end" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["windows", "detectionRange"])
+def test_run_config_bound_out_of_range(tmp_path, capsys, key):
+    config_path = write_run_dir(tmp_path)
+    bounds = {"start": OUT_OF_RANGE, "end": "2022-01-01"}
+    if key == "windows":
+        update_config(config_path, windows=[{"label": "w", **bounds}])
+    else:
+        update_config(config_path, detectionRange=bounds)
+    assert run_cli("run", "--config", config_path) == 2
+    assert "out of range" in capsys.readouterr().err
+
+
+def test_detect_bound_out_of_range(tmp_path, capsys):
+    events = tmp_path / "events.jsonl"
+    write_stream(events)
+    code = run_cli(
+        "detect", "--events", events, "--start", OUT_OF_RANGE, "--end", "2022-10-31",
+        "--out", tmp_path / "membership.tsv",
+    )
+    assert code == 2
+    assert "out of range" in capsys.readouterr().err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+odd_timestamps = st.sampled_from(
+    [
+        "2022-09-20T00:00:00Z",
+        "2022-09-20",
+        OUT_OF_RANGE,
+        "9999-12-31T23:30:00-01:00",
+        "2022-02-30",
+        "2022-09-20T24:00:00",
+        "2022-09-20T00:00:00+24:00",
+        "20220920T000000Z",
+        "z",
+        "",
+        " ",
+    ]
+)
+field_values = json_values | odd_timestamps | st.sampled_from(["u1", "u2", "ordem justo", ""])
+records = json_values | st.fixed_dictionaries(
+    {},
+    optional={
+        **{name: field_values for name in ("source", "target", "author", "text", "timestamp")},
+        "kind": st.sampled_from(EVENT_KINDS) | json_values,
+    },
+)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(records, min_size=1, max_size=6))
+def test_ingest_exit_code_over_record_shapes(tmp_path, batch):
+    events = tmp_path / "events.jsonl"
+    events.write_text("".join(json.dumps(r) + "\n" for r in batch), encoding="utf-8")
+    code = run_cli(
+        "ingest", "--events", events, "--keywords", "ordem", "u1", "--out", tmp_path / "summary.json"
+    )
+    assert code in (0, 2)
 
 
 def test_run_include_shares_from_flag_or_config(tmp_path):

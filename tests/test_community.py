@@ -3,14 +3,11 @@ import random
 import pytest
 
 from radscales import (
-    AUTO,
     DetectionConfig,
     Partition,
     build_graph,
     detect,
-    detect_communities,
     filter_by_size,
-    minimum_detectable_size,
     modularity,
     resolution_size_threshold,
 )
@@ -67,14 +64,14 @@ def test_demo_graph_frozen_constant_matches_oracle(demo_graph):
 
 def test_single_edge_merges():
     g = build_graph([("a", "b")])
-    p = detect_communities(g)
+    p = detect(g).partition
     assert p.group_count == 1
 
 
 def test_detection_requires_edges():
     g = build_graph([("a", "a")])
     with pytest.raises(EmptyGraphError):
-        detect_communities(g)
+        detect(g)
 
 
 def test_pass_log_non_decreasing_and_beats_singletons():
@@ -105,7 +102,7 @@ def test_detection_deterministic_per_seed():
 
 def test_detection_output_is_valid_partition():
     g = random_graph(random.Random(2), 30, 0.2)
-    p = detect_communities(g, DetectionConfig(seed=1))
+    p = detect(g, DetectionConfig(seed=1)).partition
     assert len(p.group_of) == g.n
     assert set(p.group_of) == set(range(p.group_count))
     assert p.group_labels == tuple(f"c{i}" for i in range(p.group_count))
@@ -115,13 +112,35 @@ def test_planted_structure_recovered():
     g, planted = planted_partition(
         PlantedPartitionParams(group_count=4, group_size=10, p_in=0.8, p_out=0.02, seed=3)
     )
-    detected = detect_communities(g, DetectionConfig(seed=0))
+    detected = detect(g, DetectionConfig(seed=0)).partition
     assert detected.group_count == 4
     detected_groups = {
         frozenset(detected.members(i)) for i in range(detected.group_count)
     }
     planted_groups = {frozenset(planted.members(i)) for i in range(4)}
     assert detected_groups == planted_groups
+
+
+def test_detected_communities_are_connected():
+    # Louvain-style moves can leave a community disconnected (Traag,
+    # Waltman & van Eck 2019); detection here must never report one.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(21)
+    graphs = [random_graph(rng, rng.randint(10, 120), rng.uniform(0.02, 0.15)) for _ in range(8)]
+    graphs += [
+        planted_partition(
+            PlantedPartitionParams(group_count=6, group_size=12, p_in=0.3, p_out=0.03, seed=seed)
+        )[0]
+        for seed in range(4)
+    ]
+    for seed, g in enumerate(graphs):
+        p = detect(g, DetectionConfig(seed=seed)).partition
+        nx_graph = nx.Graph()
+        nx_graph.add_nodes_from(range(g.n))
+        nx_graph.add_edges_from(g.edges())
+        for i in range(p.group_count):
+            community = [v for v in range(g.n) if p.group_of[v] == i]
+            assert nx.is_connected(nx_graph.subgraph(community)), (seed, i)
 
 
 def test_resolution_size_threshold():
@@ -133,14 +152,13 @@ def test_resolution_size_threshold():
 
 def test_minimum_detectable_size(demo_graph):
     g, _ = demo_graph
-    assert minimum_detectable_size(g) == 7
+    assert resolution_size_threshold(g.m) == 7
 
 
 def test_filter_by_size_merges_small_groups():
     group_of = (0,) * 10 + (1,) * 3 + (2,) * 2
-    g = build_graph([(f"v{i}", f"v{i}") for i in range(15)] + [("v0", "v1")])
     p = Partition(group_of=group_of, group_count=3, group_labels=("big", "mid", "tiny"))
-    filtered, kept = filter_by_size(p, g, 5)
+    filtered, kept = filter_by_size(p, 5)
     assert kept == (0,)
     assert filtered.group_count == 2
     assert filtered.group_labels == ("big", "other")
@@ -149,16 +167,15 @@ def test_filter_by_size_merges_small_groups():
 
 def test_filter_by_size_identity_when_all_large():
     group_of = (0,) * 5 + (1,) * 5
-    g = build_graph([(f"v{i}", f"v{i}") for i in range(10)] + [("v0", "v5")])
     p = Partition(group_of=group_of, group_count=2)
-    filtered, kept = filter_by_size(p, g, 3)
+    filtered, kept = filter_by_size(p, 3)
     assert filtered is p
     assert kept == (0, 1)
 
 
 def test_filter_by_size_auto_threshold(demo_graph):
     g, p = demo_graph
-    filtered, kept = filter_by_size(p, g, AUTO)
+    filtered, kept = filter_by_size(p, resolution_size_threshold(g.m))
     # threshold 7 beats every 4-vertex group: everything residual
     assert kept == ()
     assert filtered.group_count == 1

@@ -4,15 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radscales import (
-    brute_force_min_pds,
-    build_graph,
-    coverage,
-    greedy_partial_dominating_set,
-)
-from radscales.errors import EmptyGraphError, GraphTooLargeError, InvalidRhoError
+from radscales import build_graph, greedy_partial_dominating_set
+from radscales.errors import EmptyGraphError, InvalidRhoError
 
 from .conftest import random_graph
+from .oracles import closed_coverage, greedy_pick_order, min_partial_dominating_set
 
 
 def star(leaves: int):
@@ -36,8 +32,8 @@ def test_hub_graph_full_domination(hub_graph):
     assert greedy.size == 3
     assert greedy.covered_count == 15
     assert {hub_graph.labels[v] for v in greedy.authorities} == {"h1", "h2", "h3"}
-    exact = brute_force_min_pds(hub_graph, 1.0)
-    assert exact.size == 3
+    exact, _ = min_partial_dominating_set(hub_graph, 1.0)
+    assert len(exact) == 3
 
 
 def test_hub_graph_half_domination(hub_graph):
@@ -45,15 +41,15 @@ def test_hub_graph_half_domination(hub_graph):
     assert result.target_count == 8
     assert result.size == 2
     assert result.covered_count == 11
-    cross = brute_force_min_pds(hub_graph, 0.5)
-    assert cross.size == 2
+    cross, _ = min_partial_dominating_set(hub_graph, 0.5)
+    assert len(cross) == 2
 
 
 def test_hub_coverage(hub_graph):
     h1 = hub_graph.index_of("h1")
-    assert coverage(hub_graph, {h1}) == 6
-    assert coverage(hub_graph, set()) == 0
-    assert coverage(hub_graph, range(hub_graph.n)) == hub_graph.n
+    assert closed_coverage(hub_graph, {h1}) == 6
+    assert closed_coverage(hub_graph, set()) == 0
+    assert closed_coverage(hub_graph, range(hub_graph.n)) == hub_graph.n
 
 
 def test_star_center_dominates():
@@ -76,14 +72,17 @@ def test_edgeless_graph_needs_everyone():
 
 
 def test_path_middle_vertex():
-    result = brute_force_min_pds(path(["a", "b", "c"]), 1.0)
-    assert result.size == 1
-    assert result.authorities == (1,)
+    g = path(["a", "b", "c"])
+    authorities, covered = min_partial_dominating_set(g, 1.0)
+    assert authorities == (1,)
+    assert covered == 3
+    assert greedy_partial_dominating_set(g, 1.0).authorities == (1,)
 
 
 def test_cycle_six():
-    result = brute_force_min_pds(cycle(6), 1.0)
-    assert result.size == 2
+    authorities, _ = min_partial_dominating_set(cycle(6), 1.0)
+    assert len(authorities) == 2
+    assert greedy_partial_dominating_set(cycle(6), 1.0).size == 2
 
 
 def test_invalid_rho(hub_graph):
@@ -98,24 +97,9 @@ def test_empty_graph():
         greedy_partial_dominating_set(g, 1.0)
 
 
-def test_brute_force_size_limit():
-    g = edgeless(26)
-    with pytest.raises(GraphTooLargeError):
-        brute_force_min_pds(g, 1.0)
-
-
 def test_coverage_index_out_of_range(hub_graph):
     with pytest.raises(IndexError):
-        coverage(hub_graph, {99})
-
-
-def test_directed_reach_override():
-    # a -> b -> c chain: with out-neighbor reach, c covers only itself.
-    g = path(["a", "b", "c"])
-    reach = [(1,), (2,), ()]
-    result = greedy_partial_dominating_set(g, 1.0, reach=reach)
-    assert coverage(g, result.authorities, reach=reach) == 3
-    assert g.labels[result.authorities[0]] == "a"
+        closed_coverage(hub_graph, {99})
 
 
 def test_result_json(hub_graph):
@@ -130,7 +114,7 @@ def test_result_json(hub_graph):
 def test_no_redundant_prefix(hub_graph):
     result = greedy_partial_dominating_set(hub_graph, 1.0)
     for cut in range(result.size):
-        assert coverage(hub_graph, result.authorities[:cut]) < result.target_count
+        assert closed_coverage(hub_graph, result.authorities[:cut]) < result.target_count
 
 
 def test_prefix_monotonicity_random():
@@ -152,10 +136,10 @@ def test_greedy_within_log_factor_of_exact():
         bound = math.log(max_degree + 2) + 1
         for rho in (0.5, 1.0):
             greedy = greedy_partial_dominating_set(g, rho)
-            exact = brute_force_min_pds(g, rho)
+            exact, exact_covered = min_partial_dominating_set(g, rho)
             assert greedy.covered_count >= greedy.target_count
-            assert exact.covered_count >= exact.target_count
-            assert greedy.size <= bound * exact.size
+            assert exact_covered >= greedy.target_count
+            assert greedy.size <= bound * len(exact)
 
 
 @st.composite
@@ -175,5 +159,7 @@ def test_coverage_contract_and_determinism(graph, rho):
     first = greedy_partial_dominating_set(graph, rho)
     second = greedy_partial_dominating_set(graph, rho)
     assert first == second
+    assert first.authorities == greedy_pick_order(graph, rho)
+    assert first.covered_count == closed_coverage(graph, first.authorities)
     assert first.covered_count >= first.target_count
     assert first.target_count == math.ceil(rho * graph.n - 1e-9)

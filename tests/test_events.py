@@ -31,6 +31,10 @@ def test_parse_timestamp_variants():
     assert naive == zulu
     date_only = parse_timestamp("2022-09-19")
     assert date_only.hour == 0 and date_only.tzinfo is not None
+    # valid ISO text whose UTC conversion leaves the datetime range
+    for outside in ("0001-01-01T00:00:00+01:00", "9999-12-31T23:30:00-01:00"):
+        with pytest.raises(ValueError, match="out of range"):
+            parse_timestamp(outside)
 
 
 def test_ingest_counts_skipped():
@@ -79,6 +83,14 @@ def test_ingest_null_fields_count_as_absent():
 def test_ingest_skips_timestamp_out_of_range():
     # valid ISO text whose UTC conversion leaves the datetime range
     lines = VALID + [record(source="a", target="b", timestamp="0001-01-01T00:00:00+01:00", kind="retweet")]
+    log = ingest_events(lines)
+    assert len(log) == 3
+    assert log.skipped == 1
+
+
+def test_ingest_skips_integer_past_digit_limit():
+    # json.loads raises a plain ValueError here, not JSONDecodeError
+    lines = VALID + ['{"kind": "retweet", "n": 1' + "0" * 5000 + "}"]
     log = ingest_events(lines)
     assert len(log) == 3
     assert log.skipped == 1

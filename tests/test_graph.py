@@ -3,13 +3,14 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
-from radscales import build_graph, induced_subgraph, load_edge_list, load_partition
+from radscales import build_graph, induced_subgraph, load_edge_list, load_partition, read_membership
 from radscales.errors import (
     DuplicateAssignmentError,
     MalformedLineError,
     MissingVertexError,
     UnknownVertexError,
 )
+from radscales.graph import read_pairs
 
 
 def test_build_graph_dedupes_and_drops_self_loops():
@@ -60,6 +61,23 @@ def test_load_edge_list_malformed():
     with pytest.raises(MalformedLineError) as exc:
         load_edge_list(io.StringIO("a b c"))
     assert exc.value.line_no == 1
+
+
+def test_read_pairs_rules():
+    text = "# header\n\n a b \t c\nd   e\n"
+    assert list(read_pairs(io.StringIO(text))) == [("a b", "c"), ("d", "e")]
+
+
+@pytest.mark.parametrize(
+    "parse",
+    [load_edge_list, read_membership, lambda s: load_partition(s, build_graph([("u1", "u2")]))],
+    ids=["edge-list", "membership", "partition"],
+)
+@pytest.mark.parametrize("bad", ["u1 x y", "u1\t\tx", "u1"])
+def test_two_field_readers_reject_malformed_lines(parse, bad):
+    with pytest.raises(MalformedLineError) as exc:
+        parse(io.StringIO(f"# comment\n\n{bad}\n"))
+    assert exc.value.line_no == 3
 
 
 def test_load_edge_list_empty():

@@ -4,15 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radscales import (
-    Partition,
-    build_graph,
-    d_modularity,
-    d_modularity_report,
-    group_contribution,
-    modularity,
-)
-from radscales.errors import EmptyGraphError, ZeroModularityError
+from radscales import Partition, build_graph, d_modularity_report, modularity
+from radscales.errors import EmptyGraphError
 
 from .conftest import random_graph, random_partition
 from .oracles import pair_sum_group_contribution, pair_sum_modularity
@@ -25,19 +18,20 @@ def single_group(n):
 def test_demo_graph_golden_values(demo_graph):
     g, p = demo_graph
     assert modularity(g, p) == pytest.approx(0.402, abs=1e-3)
-    assert group_contribution(g, p, 0) == pytest.approx(0.180, abs=1e-3)
-    assert group_contribution(g, p, 1) == pytest.approx(0.111, abs=1e-3)
-    assert group_contribution(g, p, 2) == pytest.approx(0.111, abs=1e-3)
-    assert d_modularity(g, p, 0) == pytest.approx(0.448, abs=2e-3)
-    assert d_modularity(g, p, 1) == pytest.approx(0.276, abs=2e-3)
-    assert d_modularity(g, p, 2) == pytest.approx(0.276, abs=2e-3)
+    black, red, blue = d_modularity_report(g, p).per_group
+    assert black.qi == pytest.approx(0.180, abs=1e-3)
+    assert red.qi == pytest.approx(0.111, abs=1e-3)
+    assert blue.qi == pytest.approx(0.111, abs=1e-3)
+    assert black.di == pytest.approx(0.448, abs=2e-3)
+    assert red.di == pytest.approx(0.276, abs=2e-3)
+    assert blue.di == pytest.approx(0.276, abs=2e-3)
 
 
 def test_single_group_modularity_is_zero(demo_graph):
     g, _ = demo_graph
     p = single_group(g.n)
     assert modularity(g, p) == 0.0
-    assert group_contribution(g, p, 0) == 0.0
+    assert d_modularity_report(g, p).per_group[0].qi == 0.0
 
 
 def test_two_triangles():
@@ -48,8 +42,9 @@ def test_two_triangles():
         group_of=tuple(0 if lbl in "abc" else 1 for lbl in g.labels), group_count=2
     )
     assert modularity(g, p) == pytest.approx(0.5, abs=1e-12)
-    assert d_modularity(g, p, 0) == pytest.approx(0.5, abs=1e-12)
-    assert d_modularity(g, p, 1) == pytest.approx(0.5, abs=1e-12)
+    first, second = d_modularity_report(g, p).per_group
+    assert first.di == pytest.approx(0.5, abs=1e-12)
+    assert second.di == pytest.approx(0.5, abs=1e-12)
 
 
 def test_empty_graph_rejected():
@@ -60,14 +55,9 @@ def test_empty_graph_rejected():
 
 def test_d_modularity_undefined_at_zero_q():
     g = build_graph([("a", "b")])
-    with pytest.raises(ZeroModularityError):
-        d_modularity(g, single_group(2), 0)
-
-
-def test_group_index_out_of_range(demo_graph):
-    g, p = demo_graph
-    with pytest.raises(IndexError):
-        group_contribution(g, p, 3)
+    (only,) = d_modularity_report(g, single_group(2)).per_group
+    assert only.qi == 0.0
+    assert only.di is None
 
 
 def test_report_matches_scalar_ops(demo_graph):
@@ -75,8 +65,10 @@ def test_report_matches_scalar_ops(demo_graph):
     report = d_modularity_report(g, p)
     assert report.q == modularity(g, p)
     for grp in report.per_group:
-        assert grp.qi == group_contribution(g, p, grp.group_index)
-        assert grp.di == pytest.approx(d_modularity(g, p, grp.group_index), rel=1e-12)
+        assert grp.qi == pytest.approx(
+            pair_sum_group_contribution(g, p, grp.group_index), rel=1e-12
+        )
+        assert grp.di == grp.qi / report.q
     assert [grp.label for grp in report.per_group] == ["black", "red", "blue"]
 
 
@@ -117,9 +109,9 @@ def test_negative_contribution_reported_as_is():
         group_of=tuple(0 if lbl.startswith("x") else 1 for lbl in g.labels),
         group_count=2,
     )
-    assert group_contribution(g, p, 0) < 0
     report = d_modularity_report(g, p)
     by_index = {grp.group_index: grp for grp in report.per_group}
+    assert by_index[0].qi < 0
     if abs(report.q) >= 1e-12:
         assert by_index[0].di == by_index[0].qi / report.q
 
@@ -171,10 +163,23 @@ def test_label_permutation_invariance(demo_graph):
     assert modularity(shuffled, shuffled_p) == pytest.approx(
         modularity(g, p), rel=1e-12
     )
-    for i in range(3):
-        assert d_modularity(shuffled, shuffled_p, i) == pytest.approx(
-            d_modularity(g, p, i), rel=1e-12
-        )
+    shuffled_report = d_modularity_report(shuffled, shuffled_p)
+    for grp, shuffled_grp in zip(d_modularity_report(g, p).per_group, shuffled_report.per_group):
+        assert shuffled_grp.di == pytest.approx(grp.di, rel=1e-12)
+
+
+def test_modularity_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(13)
+    for _ in range(25):
+        g = random_graph(rng, rng.randint(2, 80), rng.uniform(0.02, 0.4))
+        p = random_partition(rng, g.n, max_groups=10)
+        nx_graph = nx.Graph()
+        nx_graph.add_nodes_from(range(g.n))
+        nx_graph.add_edges_from(g.edges())
+        groups = [{v for v in range(g.n) if p.group_of[v] == i} for i in range(p.group_count)]
+        expected = nx.community.modularity(nx_graph, groups)
+        assert math.isclose(modularity(g, p), expected, rel_tol=1e-9, abs_tol=1e-12)
 
 
 @st.composite

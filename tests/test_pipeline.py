@@ -178,7 +178,8 @@ def _planted_membership():
     return mapping
 
 
-def test_demo_graph_single_window_black_on_frontier():
+def _demo_graph_window():
+    """The demo graph as one window of retweets, with its planted membership."""
     from radscales import three_group_graph
 
     graph, partition = three_group_graph()
@@ -199,11 +200,46 @@ def test_demo_graph_single_window_black_on_frontier():
         for v in range(graph.n)
     }
     window = WindowSpec("all", parse_timestamp("2022-09-19"), parse_timestamp("2022-09-21"))
+    return log, window, mapping
+
+
+def test_demo_graph_single_window_black_on_frontier():
+    log, window, mapping = _demo_graph_window()
     config = AnalysisConfig(min_community_size=1)
     (report,) = run_structural_analysis(log, [window], config=config, membership=mapping)
     assert "black" in report.frontier
     by_label = {c.label: c for c in report.communities}
     assert by_label["black"].d_modularity == pytest.approx(0.448, abs=2e-3)
+
+
+def test_auto_min_size_is_the_window_resolution_threshold():
+    log, window, mapping = _demo_graph_window()
+    (report,) = run_structural_analysis(log, [window], config=AnalysisConfig(), membership=mapping)
+    # 19 edges: ceil(sqrt(38)) = 7 beats every 4-user group
+    assert report.parameters["minCommunitySize"] == "auto"
+    assert report.parameters["resolvedMinSize"] == 7
+    assert report.communities == ()
+    assert report.degenerate
+
+
+def test_min_community_size_is_an_int_or_auto():
+    with pytest.raises(ValueError, match="min_community_size"):
+        AnalysisConfig(min_community_size="big")
+
+
+def test_kept_community_named_other_is_not_the_residual(stream, analysis_config):
+    log, windows = stream
+    plain = _planted_membership()
+    # fold community c (3 known users) into the residual group "other"
+    plain = {u: c for u, c in plain.items() if not (c == "c" and u not in {"c00", "c01", "c02"})}
+    renamed = {u: "other" if c == "a" else c for u, c in plain.items()}
+    (expected,) = run_structural_analysis(log, windows[:1], config=analysis_config, membership=plain)
+    (report,) = run_structural_analysis(log, windows[:1], config=analysis_config, membership=renamed)
+    by_label = {c.label: c for c in report.communities}
+    a = {c.label: c for c in expected.communities}["a"]
+    assert by_label["other"].size == a.size
+    assert by_label["other"].d_modularity == a.d_modularity
+    assert by_label["other"].pds_sizes == a.pds_sizes
 
 
 def test_single_surviving_community_is_the_frontier(stream, analysis_config):
