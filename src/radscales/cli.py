@@ -195,8 +195,10 @@ def _cmd_lexicon_score(args) -> int:
             if not line:
                 continue
             record = json.loads(line)
-            if "community" not in record or "text" not in record:
-                raise MalformedLineError(line_no, "expected {community, text} record")
+            if not isinstance(record, dict) or not all(
+                isinstance(record.get(key), str) for key in ("community", "text")
+            ):
+                raise MalformedLineError(line_no, "expected {community, text} record of strings")
             docs.setdefault(record["community"], []).append(record["text"])
     scores = score_by_community(lexicon, foundation_map, docs)
     _write_payload([s.to_dict() for s in scores], args.out)

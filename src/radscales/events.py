@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import IO, Iterable
+from typing import IO, Container, Iterable
 
 from .errors import NoEventsError
 from .graph import Graph, build_graph
@@ -173,25 +173,23 @@ def slice_window(events: EventLog, window: WindowSpec) -> EventLog:
     )
 
 
-def build_interaction_graph(events: EventLog, kinds: Iterable[str] | None = None) -> Graph:
+def build_interaction_graph(
+    events: EventLog, kinds: Iterable[str] | None = None, *, known: Container[str] | None = None
+) -> Graph:
     """Undirected simple graph over the users of matching interaction events.
 
-    ``kinds`` restricts the interaction kinds (None keeps all). Raises
-    NoEventsError when no interactions match or all collapse to self-loops.
+    ``kinds`` restricts the interaction kinds (None keeps all), ``known`` the
+    vertices as in ``build_graph(keep=...)``. Raises NoEventsError when no
+    interactions match or all collapse to self-loops, before ``known`` applies.
     """
     wanted = set(kinds) if kinds is not None else None
-    pairs: list[tuple[str, str]] = []
-    edge_count = 0
-    for event in events:
-        if not event.is_interaction:
-            continue
-        if wanted is not None and event.kind not in wanted:
-            continue
-        pairs.append((event.source, event.target))
-        if event.source != event.target:
-            edge_count += 1
+    pairs = [
+        (event.source, event.target)
+        for event in events
+        if event.is_interaction and (wanted is None or event.kind in wanted)
+    ]
     if not pairs:
         raise NoEventsError("no interaction events match the requested kinds")
-    if edge_count == 0:
+    if all(a == b for a, b in pairs):
         raise NoEventsError("all matching interactions are self-loops")
-    return build_graph(pairs)
+    return build_graph(pairs, keep=known)

@@ -3,13 +3,13 @@
 Graphs are immutable after construction: vertices are dense 0-based indices
 carrying external string labels, edges are unweighted, and self-loops or
 parallel edges are dropped on input. Both types are safe for concurrent
-reads.
+reads. ``Graph(...)`` checks its input; the builders below skip the checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Container, Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateAssignmentError,
@@ -30,6 +30,7 @@ class Graph:
     labels: tuple[str, ...]
     adjacency: tuple[tuple[int, ...], ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _m: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.labels) != len(set(self.labels)):
@@ -50,6 +51,17 @@ class Graph:
             if (v, u) not in arcs:
                 raise ValueError(f"edge {u}-{v} is not symmetric")
         object.__setattr__(self, "_index", {lbl: i for i, lbl in enumerate(self.labels)})
+        object.__setattr__(self, "_m", sum(map(len, self.adjacency)) // 2)
+
+    @classmethod
+    def _trusted(cls, labels: tuple[str, ...], adjacency: tuple[tuple[int, ...], ...]) -> Graph:
+        """A graph from arguments that are valid by construction, unchecked."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "labels", labels)
+        object.__setattr__(graph, "adjacency", adjacency)
+        object.__setattr__(graph, "_index", {lbl: i for i, lbl in enumerate(labels)})
+        object.__setattr__(graph, "_m", sum(map(len, adjacency)) // 2)
+        return graph
 
     @property
     def n(self) -> int:
@@ -57,7 +69,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
+        return self._m
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -91,20 +103,22 @@ class Partition:
     group_of: tuple[int, ...]
     group_count: int
     group_labels: tuple[str, ...] | None = None
+    _members: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = self.group_count
         if k < 1 and self.group_of:
             raise ValueError("group_count must be >= 1 for a non-empty vertex set")
-        seen = set()
+        buckets: dict[int, list[int]] = {}
         for v, g in enumerate(self.group_of):
             if not 0 <= g < k:
                 raise ValueError(f"vertex {v} assigned to out-of-range group {g}")
-            seen.add(g)
-        if self.group_of and len(seen) != k:
+            buckets.setdefault(g, []).append(v)
+        if self.group_of and len(buckets) != k:
             raise ValueError("every group index must be non-empty")
         if self.group_labels is not None and len(self.group_labels) != k:
             raise ValueError("group_labels length must equal group_count")
+        object.__setattr__(self, "_members", tuple(tuple(buckets.get(i, ())) for i in range(k)))
 
     def group_label(self, i: int) -> str:
         if not 0 <= i < self.group_count:
@@ -116,38 +130,32 @@ class Partition:
     def members(self, i: int) -> tuple[int, ...]:
         if not 0 <= i < self.group_count:
             raise IndexError(f"group index {i} out of range")
-        return tuple(v for v, g in enumerate(self.group_of) if g == i)
+        return self._members[i]
 
     def sizes(self) -> tuple[int, ...]:
-        counts = [0] * self.group_count
-        for g in self.group_of:
-            counts[g] += 1
-        return tuple(counts)
+        return tuple(map(len, self._members))
 
 
-def build_graph(edges: Iterable[tuple[str, str]]) -> Graph:
+def build_graph(edges: Iterable[tuple[str, str]], *, keep: Container[str] | None = None) -> Graph:
     """Build a graph from labeled edge pairs.
 
     Labels are interned in first-seen order; self-loops are dropped and
     duplicate pairs (in either orientation) collapse to a single edge.
-    An empty input yields the empty graph.
+    An empty input yields the empty graph. With ``keep``, only labels in it
+    become vertices, isolated when all their partners are dropped.
     """
     index: dict[str, int] = {}
     pairs: set[tuple[int, int]] = set()
     for a, b in edges:
-        ia = index.setdefault(a, len(index))
-        ib = index.setdefault(b, len(index))
-        if ia == ib:
-            continue
-        pairs.add((min(ia, ib), max(ia, ib)))
+        ia = index.setdefault(a, len(index)) if keep is None or a in keep else -1
+        ib = index.setdefault(b, len(index)) if keep is None or b in keep else -1
+        if ia != ib and ia >= 0 and ib >= 0:
+            pairs.add((ia, ib) if ia < ib else (ib, ia))
     adj: list[list[int]] = [[] for _ in range(len(index))]
     for u, v in pairs:
         adj[u].append(v)
         adj[v].append(u)
-    return Graph(
-        labels=tuple(index),
-        adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adj),
-    )
+    return Graph._trusted(tuple(index), tuple(tuple(sorted(nbrs)) for nbrs in adj))
 
 
 def read_pairs(stream: IO[str] | Iterable[str]) -> Iterator[tuple[str, str]]:
@@ -207,16 +215,13 @@ def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> Graph:
     preserved. Raises IndexError on out-of-range indices.
     """
     wanted = sorted(set(vertices))
-    for v in wanted:
-        if not 0 <= v < graph.n:
-            raise IndexError(f"vertex index {v} out of range")
+    if wanted and not 0 <= wanted[0] <= wanted[-1] < graph.n:
+        raise IndexError(f"vertex indices {wanted[0]}..{wanted[-1]} outside 0..{graph.n - 1}")
+    # remap increases with v, so each filtered row stays sorted.
     remap = {v: i for i, v in enumerate(wanted)}
-    adj: list[list[int]] = [[] for _ in wanted]
-    for v in wanted:
-        adj[remap[v]] = sorted(remap[u] for u in graph.adjacency[v] if u in remap)
-    return Graph(
-        labels=tuple(graph.labels[v] for v in wanted),
-        adjacency=tuple(tuple(nbrs) for nbrs in adj),
+    return Graph._trusted(
+        tuple(graph.labels[v] for v in wanted),
+        tuple(tuple([remap[u] for u in graph.adjacency[v] if u in remap]) for v in wanted),
     )
 
 

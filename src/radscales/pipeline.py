@@ -162,14 +162,20 @@ def _structural_window_report(
     config: AnalysisConfig,
     seed: int | None,
 ) -> StructuralReport:
-    window_events = slice_window(events, window)
-    raw_graph = build_interaction_graph(window_events, config.kinds)
-    known = [v for v in range(raw_graph.n) if raw_graph.labels[v] in membership]
-    graph = induced_subgraph(raw_graph, known)
+    graph = build_interaction_graph(slice_window(events, window), config.kinds, known=membership)
     min_size = config.min_community_size
     resolved_min = resolution_size_threshold(graph.m) if min_size == AUTO else int(min_size)
     partition = _window_partition(graph, membership)
     filtered, kept = filter_by_size(partition, resolved_min)
+    if not kept:
+        logger.warning(
+            "window %s: none of its %d groups reaches the minimum community size "
+            "%d (%s); all fold into 'other'",
+            window.label,
+            partition.group_count,
+            resolved_min,
+            "auto: ceil(sqrt(2m))" if min_size == AUTO else "configured",
+        )
     kept_labels = [partition.group_label(i) for i in kept]
 
     # Kept groups hold indices 0..len(kept)-1 of the filtered partition.

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 import re
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from radscales.graph import Graph, Partition
 from radscales.pareto import CriterionSpec, ParetoPoint, dominates
@@ -176,3 +176,36 @@ def foundation_scores(
     if not tokens:
         return 0, {}
     return len(tokens), {axis: hits[axis] / len(tokens) for axis in axes}
+
+
+def membership_first_graph(
+    interactions: Iterable[tuple[str, str, str]], kinds: Container[str], known: Container[str]
+) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
+    """Labels and adjacency rows of a window graph by definition: intern every
+    user of a matching (source, target, kind) interaction in first-seen
+    order, keep the known ones in that order, and join two kept users when a
+    matching interaction links them; a user is never its own neighbour."""
+    seen: list[str] = []
+    linked: set[frozenset[str]] = set()
+    for source, target, kind in interactions:
+        if kind not in kinds:
+            continue
+        for user in (source, target):
+            if user not in seen:
+                seen.append(user)
+        if source != target:
+            linked.add(frozenset((source, target)))
+    labels = [u for u in seen if u in known]
+    rows = tuple(
+        tuple(j for j, w in enumerate(labels) if frozenset((u, w)) in linked) for u in labels
+    )
+    return tuple(labels), rows
+
+
+def sorted_induced_rows(graph: Graph, vertices: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """Adjacency rows of the subgraph induced on *vertices*, each row
+    relabeled by position in the sorted vertex list and sorted afterwards."""
+    wanted = sorted(set(vertices))
+    return tuple(
+        tuple(sorted(wanted.index(u) for u in graph.neighbors(v) if u in wanted)) for v in wanted
+    )

@@ -146,6 +146,28 @@ def test_lexicon_score_command(tmp_path, capsys):
     assert payload[0]["scores"]["Authority"] == pytest.approx(1 / 3)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"community": ["a"], "text": "ordem"},
+        {"community": "a", "text": 5},
+        {"community": None, "text": "ordem"},
+        {"community": "a", "text": None},
+        5,
+        "community text",
+        None,
+    ],
+)
+def test_lexicon_score_rejects_badly_typed_records(tmp_path, capsys, bad):
+    dic = tmp_path / "test.dic"
+    dic.write_text(TEST_DIC, encoding="utf-8")
+    docs = tmp_path / "docs.jsonl"
+    good = json.dumps({"community": "x", "text": "ordem"})
+    docs.write_text(f"{good}\n{json.dumps(bad)}\n", encoding="utf-8")
+    assert run_cli("lexicon-score", "--dic", dic, "--docs", docs) == 2
+    assert "line 2: expected {community, text} record" in capsys.readouterr().err
+
+
 def test_pareto_command(tmp_path, capsys):
     points = tmp_path / "points.json"
     points.write_text(
@@ -351,6 +373,26 @@ def test_ingest_exit_code_over_record_shapes(tmp_path, batch):
     code = run_cli(
         "ingest", "--events", events, "--keywords", "ordem", "u1", "--out", tmp_path / "summary.json"
     )
+    assert code in (0, 2)
+
+
+doc_records = json_values | st.fixed_dictionaries(
+    {},
+    optional={
+        "community": json_values | st.sampled_from(["x", "y", ""]),
+        "text": json_values | st.sampled_from(["ordem justo", "dia comum", ""]),
+    },
+)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(doc_records, min_size=1, max_size=6))
+def test_lexicon_score_exit_code_over_record_shapes(tmp_path, batch):
+    dic = tmp_path / "test.dic"
+    dic.write_text(TEST_DIC, encoding="utf-8")
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text("".join(json.dumps(r) + "\n" for r in batch), encoding="utf-8")
+    code = run_cli("lexicon-score", "--dic", dic, "--docs", docs, "--out", tmp_path / "scores.json")
     assert code in (0, 2)
 
 

@@ -3,7 +3,15 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
-from radscales import build_graph, induced_subgraph, load_edge_list, load_partition, read_membership
+from radscales import (
+    Graph,
+    Partition,
+    build_graph,
+    induced_subgraph,
+    load_edge_list,
+    load_partition,
+    read_membership,
+)
 from radscales.errors import (
     DuplicateAssignmentError,
     MalformedLineError,
@@ -11,6 +19,8 @@ from radscales.errors import (
     UnknownVertexError,
 )
 from radscales.graph import read_pairs
+
+from .oracles import sorted_induced_rows
 
 
 def test_build_graph_dedupes_and_drops_self_loops():
@@ -170,3 +180,77 @@ def test_adjacency_symmetry(edges):
         for v in g.neighbors(u):
             assert u in g.neighbors(v)
             assert u != v
+
+
+def test_graph_constructor_accepts_a_valid_graph():
+    g = Graph(labels=("a", "b", "c"), adjacency=((1, 2), (0,), (0,)))
+    assert g == build_graph([("a", "b"), ("c", "a")])
+    assert (g.n, g.m) == (3, 2)
+    assert g.index_of("c") == 2
+
+
+@pytest.mark.parametrize(
+    "labels, adjacency, message",
+    [
+        (("a", "a"), ((), ()), "labels must be unique"),
+        (("a", "b"), ((),), "adjacency size must match"),
+        (("a", "b"), ((2,), ()), "out of range"),
+        (("a", "b"), ((-1,), ()), "out of range"),
+        (("a", "b"), ((0, 1), (0,)), "self-loop"),
+        (("a", "b", "c"), ((2, 1), (0,), (0,)), "sorted and duplicate-free"),
+        (("a", "b"), ((1, 1), (0,)), "sorted and duplicate-free"),
+        (("a", "b"), ((1,), ()), "not symmetric"),
+    ],
+)
+def test_graph_constructor_rejects_invalid_input(labels, adjacency, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(labels=labels, adjacency=adjacency)
+
+
+@pytest.mark.parametrize(
+    "group_of, group_count, group_labels, message",
+    [
+        ((0,), 0, None, "group_count must be >= 1"),
+        ((0, 2), 2, None, "out-of-range group 2"),
+        ((0, -1), 2, None, "out-of-range group -1"),
+        ((0, 0), 2, None, "every group index must be non-empty"),
+        ((0, 1), 2, ("x",), "group_labels length"),
+    ],
+)
+def test_partition_constructor_rejects_invalid_input(group_of, group_count, group_labels, message):
+    with pytest.raises(ValueError, match=message):
+        Partition(group_of=group_of, group_count=group_count, group_labels=group_labels)
+
+
+@st.composite
+def partitions(draw):
+    raw = draw(st.lists(st.integers(0, 5), max_size=30))
+    dense: dict[int, int] = {}
+    group_of = tuple(dense.setdefault(g, len(dense)) for g in raw)
+    return Partition(group_of=group_of, group_count=len(dense))
+
+
+@given(partitions())
+def test_members_equal_a_full_scan(partition):
+    for i in range(partition.group_count):
+        assert partition.members(i) == tuple(
+            v for v, g in enumerate(partition.group_of) if g == i
+        )
+    assert partition.sizes() == tuple(
+        sum(1 for g in partition.group_of if g == i) for i in range(partition.group_count)
+    )
+    with pytest.raises(IndexError):
+        partition.members(partition.group_count)
+
+
+@given(edge_lists, st.lists(st.integers(0, 9), max_size=12))
+def test_induced_subgraph_rows_equal_a_sorting_oracle(edges, picks):
+    g = build_graph(edges)
+    vertices = [v for v in picks if v < g.n]
+    sub = induced_subgraph(g, vertices)
+    assert sub.adjacency == sorted_induced_rows(g, vertices)
+    assert sub.labels == tuple(g.labels[v] for v in sorted(set(vertices)))
+    # the unchecked builders give graphs the public constructor accepts
+    assert Graph(labels=sub.labels, adjacency=sub.adjacency) == sub
+    assert Graph(labels=g.labels, adjacency=g.adjacency).m == g.m
+    assert sub.m == sum(map(len, sub.adjacency)) // 2

@@ -3,6 +3,7 @@ import json
 import logging
 
 import pytest
+from hypothesis import given, strategies as st
 
 from radscales import (
     AnalysisConfig,
@@ -16,10 +17,13 @@ from radscales import (
     run_speech_analysis,
     run_structural_analysis,
 )
-from radscales.errors import DuplicateAssignmentError
+from radscales.errors import DuplicateAssignmentError, NoEventsError
+from radscales.events import EVENT_KINDS, Event, EventLog, build_interaction_graph
+from radscales.graph import induced_subgraph
 from radscales.pareto import CriterionSpec, Direction, ParetoPoint, pareto_frontier
 from radscales.pipeline import detect_membership, emit_plot_data
 
+from .oracles import membership_first_graph
 from .streams import TEST_DIC, write_stream
 
 
@@ -220,6 +224,92 @@ def test_auto_min_size_is_the_window_resolution_threshold():
     assert report.parameters["resolvedMinSize"] == 7
     assert report.communities == ()
     assert report.degenerate
+
+
+@pytest.mark.parametrize("min_size, resolved, source", [(5, 5, "configured"), ("auto", 7, "auto")])
+def test_warns_once_when_every_group_folds(caplog, min_size, resolved, source):
+    log, window, mapping = _demo_graph_window()
+    with caplog.at_level(logging.WARNING, logger="radscales.pipeline"):
+        (report,) = run_structural_analysis(
+            log, [window], config=AnalysisConfig(min_community_size=min_size), membership=mapping
+        )
+    folds = [r.getMessage() for r in caplog.records if "fold" in r.getMessage()]
+    assert len(folds) == 1
+    assert folds[0].startswith(
+        f"window all: none of its 3 groups reaches the minimum community size {resolved} ({source}"
+    )
+    assert folds[0].endswith("all fold into 'other'")
+    assert report.to_dict() == {
+        "window": "all",
+        "parameters": {
+            "rhos": [0.5, 0.75, 1.0],
+            "primaryRho": 0.75,
+            "minCommunitySize": min_size,
+            "resolvedMinSize": resolved,
+            "kinds": ["retweet"],
+            "seed": None,
+        },
+        "degenerate": True,
+        "communities": [],
+        "frontier": [],
+    }
+
+
+def test_no_fold_warning_when_a_group_is_kept(caplog):
+    log, window, mapping = _demo_graph_window()
+    with caplog.at_level(logging.WARNING, logger="radscales.pipeline"):
+        config = AnalysisConfig(min_community_size=4)
+        run_structural_analysis(log, [window], config=config, membership=mapping)
+    assert "fold" not in caplog.text
+
+
+def test_known_users_without_known_partners_stay_isolated():
+    pairs = [("a1", "a2"), ("a3", "x"), ("b1", "b2"), ("b3", "b3"), ("a1", "b1"), ("y", "b2")]
+    log = ingest_events(
+        json.dumps({"source": s, "target": t, "timestamp": "2022-09-20T00:00:00Z", "kind": "retweet"})
+        for s, t in pairs
+    )
+    mapping = {"a1": "a", "a2": "a", "a3": "a", "b1": "b", "b2": "b", "b3": "b"}
+    window = WindowSpec("all", parse_timestamp("2022-09-19"), parse_timestamp("2022-09-21"))
+    graph = build_interaction_graph(log, ("retweet",), known=mapping)
+    assert graph.labels == ("a1", "a2", "a3", "b1", "b2", "b3")
+    assert (graph.degree(2), graph.degree(5), graph.m) == (0, 0, 3)
+    config = AnalysisConfig(min_community_size=1)
+    (report,) = run_structural_analysis(log, [window], config=config, membership=mapping)
+    by_label = {c.label: c for c in report.communities}
+    # a3 and b3 count in their community's size and need their own authority
+    assert (by_label["a"].size, by_label["b"].size) == (3, 3)
+    assert (by_label["a"].pds_sizes[1.0], by_label["b"].pds_sizes[1.0]) == (2, 2)
+
+
+window_users = st.sampled_from([f"u{i}" for i in range(6)])
+
+
+@given(
+    st.lists(st.tuples(window_users, window_users, st.sampled_from(EVENT_KINDS)), max_size=25),
+    st.sets(window_users),
+    st.sets(st.sampled_from(EVENT_KINDS), min_size=1),
+)
+def test_window_graph_equals_membership_first_oracle(interactions, known, kinds):
+    stamp = parse_timestamp("2022-09-20")
+    document = Event(timestamp=stamp, kind="retweet", author="u0", text="ordem")
+    log = EventLog(
+        events=(
+            document,
+            *(Event(timestamp=stamp, kind=k, source=s, target=t) for s, t, k in interactions),
+        )
+    )
+    membership = dict.fromkeys(known, "g")
+    matching = [(s, t) for s, t, k in interactions if k in kinds]
+    if not matching or all(s == t for s, t in matching):
+        with pytest.raises(NoEventsError):
+            build_interaction_graph(log, kinds, known=membership)
+        return
+    graph = build_interaction_graph(log, kinds, known=membership)
+    assert (graph.labels, graph.adjacency) == membership_first_graph(interactions, kinds, known)
+    # the same graph as inducing the raw window graph on its known users
+    raw = build_interaction_graph(log, kinds)
+    assert graph == induced_subgraph(raw, [v for v, u in enumerate(raw.labels) if u in membership])
 
 
 def test_min_community_size_is_an_int_or_auto():
