@@ -18,28 +18,14 @@ from typing import Sequence
 from . import __version__
 from .community import DetectionConfig, detect
 from .domination import greedy_partial_dominating_set
-from .errors import MalformedLineError, RadscalesError
+from .errors import ConfigError, MalformedLineError, RadscalesError
 from .events import WindowSpec, build_interaction_graph, ingest_events, parse_timestamp, slice_window
 from .graph import induced_subgraph, load_edge_list, load_partition, write_edge_list, write_partition
-from .lexicon import FoundationMap, parse_mfd_dic, score_by_community
+from .lexicon import load_foundation_map, parse_mfd_dic, score_by_community
 from .modularity import d_modularity_report
-from .pareto import CriterionSpec, Direction, ParetoPoint, pareto_frontier
-from .pipeline import (
-    AUTO,
-    DEFAULT_KINDS,
-    DEFAULT_PRIMARY_RHO,
-    DEFAULT_RHOS,
-    AnalysisConfig,
-    detect_membership,
-    emit_plot_data,
-    read_membership,
-    run_speech_analysis,
-    run_structural_analysis,
-    write_json,
-)
+from .pareto import pareto_frontier, read_points
+from .pipeline import AUTO, DEFAULT_RHOS, RunConfig, run, write_json
 from .synth import PlantedPartitionParams, hub_hierarchy_graph, planted_partition, three_group_graph
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -64,26 +50,24 @@ def parse_window(arg: str) -> WindowSpec:
     label, sep, rest = arg.partition(":")
     if not sep or not label:
         raise MalformedLineError(1, f"window {arg!r} is not label:start:end")
-    positions = [i for i, ch in enumerate(rest) if ch == ":"]
-    for pos in positions:
+    for pos in (i for i, ch in enumerate(rest) if ch == ":"):
+        start, end = rest[:pos], rest[pos + 1 :]
         try:
-            start = parse_timestamp(rest[:pos])
-            end = parse_timestamp(rest[pos + 1 :])
+            parse_timestamp(start), parse_timestamp(end)
         except ValueError:
             continue
-        return WindowSpec(label=label, start=start, end=end)
+        return WindowSpec.from_strings(label, start, end)
     raise MalformedLineError(1, f"window {arg!r} has no parseable start:end")
 
 
-def _windows_from_config(raw: list[dict]) -> tuple[WindowSpec, ...]:
-    return tuple(
-        WindowSpec(
-            label=w["label"],
-            start=parse_timestamp(w["start"]),
-            end=parse_timestamp(w["end"]),
-        )
-        for w in raw
-    )
+def _auto_or_int(text: str) -> int | str:
+    """``--min-community-size`` value: "auto" or an integer."""
+    if text == AUTO:
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected {AUTO!r} or an integer, got {text!r}") from None
 
 
 def _load_events(path: Path, kinds=None, keywords=None):
@@ -120,12 +104,7 @@ def _cmd_detect(args) -> int:
             raise ValueError("--start and --end must be given together")
         log = _load_events(Path(args.events), kinds=args.kinds)
         if args.start:
-            window = WindowSpec(
-                label="detection",
-                start=parse_timestamp(args.start),
-                end=parse_timestamp(args.end),
-            )
-            log = slice_window(log, window)
+            log = slice_window(log, WindowSpec.from_strings("detection", args.start, args.end))
         graph = build_interaction_graph(log, args.kinds)
     config = DetectionConfig(
         seed=args.seed, max_passes=args.max_passes, min_gain_epsilon=args.min_gain
@@ -183,11 +162,7 @@ def _cmd_dominate(args) -> int:
 def _cmd_lexicon_score(args) -> int:
     with open(args.dic, "r", encoding="utf-8") as fh:
         lexicon = parse_mfd_dic(fh)
-    if args.map:
-        with open(args.map, "r", encoding="utf-8") as fh:
-            foundation_map = FoundationMap.from_dict(json.load(fh))
-    else:
-        foundation_map = FoundationMap.default()
+    foundation_map = load_foundation_map(args.map)
     docs: dict[str, list[str]] = {}
     with open(args.docs, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -207,15 +182,7 @@ def _cmd_lexicon_score(args) -> int:
 
 def _cmd_pareto(args) -> int:
     with open(args.points, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    criteria = tuple(
-        CriterionSpec(name=c["name"], direction=Direction(c["direction"]))
-        for c in payload["criteria"]
-    )
-    points = [
-        ParetoPoint(label=p["label"], values=tuple(float(v) for v in p["values"]))
-        for p in payload["points"]
-    ]
+        criteria, points = read_points(json.load(fh))
     frontier = pareto_frontier(points, criteria)
     _write_payload(
         {
@@ -230,103 +197,25 @@ def _cmd_pareto(args) -> int:
     return EXIT_OK
 
 
-def _usage_error(message: str) -> int:
-    print(f"radscales: error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _cmd_run(args) -> int:
     config_path = Path(args.config)
     with config_path.open("r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    base = config_path.parent
-
-    def resolve(key: str) -> Path | None:
-        return base / raw[key] if raw.get(key) else None
-
-    defaults = DetectionConfig()
-    seed = args.seed if args.seed is not None else int(raw.get("seed", defaults.seed))
-    rhos = tuple(args.rho) if args.rho else tuple(raw.get("rhos", DEFAULT_RHOS))
-    if not rhos:
-        return _usage_error("rhos must list at least one coverage fraction")
-    if raw.get("primaryRho") is not None:
-        primary = float(raw["primaryRho"])
-        if primary not in rhos:
-            return _usage_error(f"primaryRho {primary} is not among the rhos {list(rhos)}")
-    else:
-        primary = DEFAULT_PRIMARY_RHO if DEFAULT_PRIMARY_RHO in rhos else rhos[len(rhos) // 2]
-    min_size = args.min_community_size if args.min_community_size is not None else raw.get("minCommunitySize", AUTO)
-    if min_size != AUTO:
-        min_size = int(min_size)
-    config = AnalysisConfig(
-        rhos=rhos,
-        primary_rho=primary,
-        min_community_size=min_size,
-        kinds=tuple(raw.get("kinds", DEFAULT_KINDS)),
-        detection=DetectionConfig(
-            seed=seed,
-            max_passes=int(raw.get("maxPasses", defaults.max_passes)),
-            min_gain_epsilon=float(raw.get("minGainEpsilon", defaults.min_gain_epsilon)),
-        ),
-    )
-    include_shares = bool(args.include_shares or raw.get("includeShares", False))
-    windows = tuple(parse_window(w) for w in args.window) if args.window else _windows_from_config(raw["windows"])
-    out_dir = Path(args.out_dir) if args.out_dir else base / raw.get("outDir", "out")
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    events = _load_events(
-        base / raw["events"],
-        keywords=tuple(raw["keywords"]) if raw.get("keywords") else None,
-    )
-
-    membership_path = resolve("membership")
-    if membership_path:
-        with membership_path.open("r", encoding="utf-8") as fh:
-            membership = read_membership(fh)
-    else:
-        detection_window = None
-        if raw.get("detectionRange"):
-            detection_window = WindowSpec(
-                label="detection",
-                start=parse_timestamp(raw["detectionRange"]["start"]),
-                end=parse_timestamp(raw["detectionRange"]["end"]),
-            )
-        membership, result = detect_membership(events, config, detection_window)
-        write_json(list(result.pass_modularity), out_dir / "detection_log.json")
-    with (out_dir / "membership.tsv").open("w", encoding="utf-8") as fh:
-        for user in sorted(membership):
-            fh.write(f"{user}\t{membership[user]}\n")
-
-    structural = run_structural_analysis(
-        events, windows, config=config, membership=membership
-    )
-    write_json([r.to_dict() for r in structural], out_dir / "structural.json")
-    for report in structural:
-        emit_plot_data(report, out_dir)
-
-    lexicon_path = resolve("lexicon")
-    if lexicon_path:
-        with lexicon_path.open("r", encoding="utf-8") as fh:
-            lexicon = parse_mfd_dic(fh)
-        map_path = resolve("foundationMap")
-        if map_path:
-            with map_path.open("r", encoding="utf-8") as fh:
-                foundation_map = FoundationMap.from_dict(json.load(fh))
-        else:
-            foundation_map = FoundationMap.default()
-        speech = run_speech_analysis(
-            events,
-            windows,
-            membership,
-            lexicon,
-            foundation_map,
-            include_shares=include_shares,
-        )
-        write_json([r.to_dict() for r in speech], out_dir / "speech.json")
-        for report in speech:
-            emit_plot_data(report, out_dir)
-
-    print(f"reports written to {out_dir}")
+    overrides = {
+        "seed": args.seed,
+        "rhos": args.rho,
+        "minCommunitySize": args.min_community_size,
+        "windows": [parse_window(w) for w in args.window] if args.window else None,
+        "includeShares": args.include_shares,
+        "outDir": args.out_dir,
+    }
+    try:
+        config = RunConfig.from_json(raw, config_path.parent, overrides)
+    except ConfigError as exc:
+        print(f"radscales: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    run(config)
+    print(f"reports written to {config.out_dir}")
     return EXIT_OK
 
 
@@ -416,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--rho", type=float, action="append")
-    p.add_argument("--min-community-size", default=None)
+    p.add_argument("--min-community-size", type=_auto_or_int, default=None)
     p.add_argument("--window", action="append", help="label:start:end (repeatable)")
     p.add_argument("--include-shares", action="store_true", default=None)
     p.add_argument("--out-dir")

@@ -75,7 +75,15 @@ class EmptyCorpusError(RadscalesError):
 
 
 class SchemaMismatchError(RadscalesError):
-    """Points being compared do not share the criteria schema."""
+    """Points or criteria do not have the expected shape or schema."""
+
+
+class DuplicateLabelError(RadscalesError, ValueError):
+    """Two points share a label, so a label cannot name its frontier point."""
+
+    def __init__(self, label: str):
+        self.label = label
+        super().__init__(f"more than one point is labelled {label!r}")
 
 
 class EmptyInputError(RadscalesError):
@@ -84,3 +92,7 @@ class EmptyInputError(RadscalesError):
 
 class NoEventsError(RadscalesError):
     """Event ingestion or graph construction produced nothing usable."""
+
+
+class ConfigError(RadscalesError, ValueError):
+    """A run config has an unknown or missing key, a mistyped value or a bad window set."""

@@ -85,6 +85,11 @@ class WindowSpec:
         if self.start >= self.end:
             raise ValueError(f"window {self.label!r}: start must precede end")
 
+    @classmethod
+    def from_strings(cls, label: str, start: str, end: str) -> "WindowSpec":
+        """Window from a label and two timestamps, each read by parse_timestamp."""
+        return cls(label=label, start=parse_timestamp(start), end=parse_timestamp(end))
+
     def contains(self, instant: datetime) -> bool:
         return self.start <= instant < self.end
 

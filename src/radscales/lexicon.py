@@ -9,9 +9,11 @@ how many of the axis's categories it hits.
 
 from __future__ import annotations
 
+import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -122,6 +124,23 @@ class FoundationMap:
                 )
             resolved[axis] = ids
         return resolved
+
+
+def load_foundation_map(path: Path | str | None) -> FoundationMap:
+    """The foundation map JSON file at *path*, or the default map when None.
+
+    Raises FoundationMapError unless the file holds an object of axis ->
+    list of category names.
+    """
+    if path is None:
+        return FoundationMap.default()
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict) or not all(
+        isinstance(names, list) and all(isinstance(n, str) for n in names) for names in raw.values()
+    ):
+        raise FoundationMapError(f"{path}: expected an object of axis -> list of category names")
+    return FoundationMap.from_dict(raw)
 
 
 @dataclass(frozen=True)

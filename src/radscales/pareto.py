@@ -9,11 +9,12 @@ points never dominate each other and are all retained on the frontier.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import EmptyInputError, SchemaMismatchError
+from .errors import DuplicateLabelError, EmptyInputError, SchemaMismatchError
 
 
 class Direction(Enum):
@@ -77,12 +78,17 @@ def pareto_frontier(
     direction-adjusted values, any dominator precedes its victims and is
     itself non-dominated once kept, so each point only needs checking
     against the frontier built so far. Duplicate-valued points are all
-    retained.
+    retained; two points with one label raise DuplicateLabelError, since the
+    label set could not tell them apart.
     """
     if not points:
         raise EmptyInputError("frontier of an empty point set is undefined")
     adjusted = []
+    seen: set[str] = set()
     for point in points:
+        if point.label in seen:
+            raise DuplicateLabelError(point.label)
+        seen.add(point.label)
         _check_schema(point, criteria)
         adjusted.append(_adjusted(point, criteria))
     order = sorted(range(len(points)), key=lambda i: adjusted[i], reverse=True)
@@ -93,3 +99,35 @@ def pareto_frontier(
             frontier.append(i)
             labels.add(points[i].label)
     return labels
+
+
+def _is_float(value) -> bool:
+    """A JSON number (not a bool) that converts to a float."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+
+
+def read_points(payload: object) -> tuple[tuple[CriterionSpec, ...], list[ParetoPoint]]:
+    """Criteria and points of a ``{criteria, points}`` JSON object.
+
+    Raises SchemaMismatchError naming the offending criterion or point index
+    when the shape is wrong: each criterion needs a string ``name`` and a
+    ``direction`` that names a Direction, each point a string ``label`` and a
+    list of finite numbers as ``values``.
+    """
+    if not isinstance(payload, dict) or not all(
+        isinstance(payload.get(key), list) for key in ("criteria", "points")
+    ):
+        raise SchemaMismatchError("expected an object with 'criteria' and 'points' lists")
+    directions = [d.value for d in Direction]
+    criteria = []
+    for i, c in enumerate(payload["criteria"]):
+        if not (isinstance(c, dict) and isinstance(c.get("name"), str) and c.get("direction") in directions):
+            raise SchemaMismatchError(f"criterion {i}: expected a string name and a direction in {directions}")
+        criteria.append(CriterionSpec(name=c["name"], direction=Direction(c["direction"])))
+    points = []
+    for i, p in enumerate(payload["points"]):
+        values = p.get("values") if isinstance(p, dict) else None
+        if not (isinstance(values, list) and all(map(_is_float, values)) and isinstance(p.get("label"), str)):
+            raise SchemaMismatchError(f"point {i}: expected a string label and a list of finite numbers as values")
+        points.append(ParetoPoint(label=p["label"], values=tuple(float(v) for v in values)))
+    return tuple(criteria), points

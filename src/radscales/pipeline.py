@@ -14,16 +14,17 @@ import csv
 import json
 import logging
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
 from .community import DetectionConfig, DetectionResult, detect, filter_by_size, resolution_size_threshold
 from .domination import greedy_partial_dominating_set
-from .errors import DuplicateAssignmentError, EmptyCorpusError
-from .events import EventLog, WindowSpec, build_interaction_graph, slice_window
+from .errors import ConfigError, DuplicateAssignmentError, EmptyCorpusError
+from .events import EVENT_KINDS, EventLog, WindowSpec, build_interaction_graph, ingest_events, slice_window
 from .graph import Graph, Partition, induced_subgraph, read_pairs
-from .lexicon import FoundationMap, FoundationScores, Lexicon, score_corpus
+from .lexicon import FoundationMap, FoundationScores, Lexicon, load_foundation_map, parse_mfd_dic, score_corpus
 from .modularity import d_modularity_report
 from .pareto import CriterionSpec, Direction, ParetoPoint, pareto_frontier
 
@@ -51,6 +52,137 @@ class AnalysisConfig:
             raise ValueError("primary_rho must be one of the swept rhos")
         if isinstance(self.min_community_size, str) and self.min_community_size != AUTO:
             raise ValueError(f"min_community_size must be an int or {AUTO!r}")
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:  # finite, so float() cannot overflow
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
+def _is_path(value: object) -> bool:
+    return isinstance(value, str) and value != ""
+
+
+def _has_strings(value: object, *names: str) -> bool:  # exactly the keys *names*, string values
+    return isinstance(value, dict) and sorted(value) == sorted(names) and all(isinstance(value[n], str) for n in names)
+
+
+_DETECTION = DetectionConfig()
+_REQUIRED = object()
+# Every run config key once: JSON key -> (what a value must be, check of the
+# value, or of each element when the key holds a list, default). A parsed
+# --window flag arrives as a WindowSpec.
+RUN_KEYS = {
+    "events": ("a non-empty string", _is_path, False, _REQUIRED),
+    "windows": (
+        "a list of {label, start, end} objects of strings",
+        lambda v: isinstance(v, WindowSpec) or _has_strings(v, "label", "start", "end"),
+        True,
+        _REQUIRED,
+    ),
+    "detectionRange": ("a {start, end} object of strings", lambda v: _has_strings(v, "start", "end"), False, None),
+    "membership": ("a non-empty string", _is_path, False, None),
+    "lexicon": ("a non-empty string", _is_path, False, None),
+    "foundationMap": ("a non-empty string", _is_path, False, None),
+    "keywords": ("a list of non-empty strings", _is_path, True, None),
+    "kinds": (f"a list of event kinds ({', '.join(EVENT_KINDS)})", EVENT_KINDS.__contains__, True, DEFAULT_KINDS),
+    "seed": ("an integer", _is_int, False, _DETECTION.seed),
+    "maxPasses": ("an integer", _is_int, False, _DETECTION.max_passes),
+    "minGainEpsilon": ("a finite number", _is_number, False, _DETECTION.min_gain_epsilon),
+    "rhos": ("a list of numbers in (0, 1]", lambda v: _is_number(v) and 0 < v <= 1, True, DEFAULT_RHOS),
+    "primaryRho": ("a finite number", _is_number, False, None),  # None: 0.75 if swept, else the middle rho
+    "minCommunitySize": (f'"{AUTO}" or an integer', lambda v: v == AUTO or _is_int(v), False, AUTO),
+    "includeShares": ("true or false", lambda v: isinstance(v, bool), False, False),
+    "outDir": ("a non-empty string", _is_path, False, "out"),
+}
+
+
+def _window(key: str, spec: WindowSpec | dict, label: str | None = None) -> WindowSpec:
+    """Window of a checked *spec*; its bounds that do not parse stay a ValueError."""
+    if isinstance(spec, WindowSpec):
+        return spec
+    try:
+        return WindowSpec.from_strings(label or spec["label"], spec["start"], spec["end"])
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Everything one pipeline run reads and writes, with paths resolved."""
+
+    events: Path
+    windows: tuple[WindowSpec, ...]
+    out_dir: Path
+    analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
+    detection_range: WindowSpec | None = None
+    membership: Path | None = None
+    lexicon: Path | None = None
+    foundation_map: Path | None = None
+    keywords: tuple[str, ...] | None = None
+    include_shares: bool = False
+
+    def __post_init__(self):
+        if not self.windows:
+            raise ConfigError("windows must list at least one window")
+        labels: dict[str, str] = {}
+        for window in self.windows:
+            name = _safe_name(window.label)
+            if name in labels:
+                raise ConfigError(f"windows {labels[name]!r} and {window.label!r} both write the reports of {name!r}")
+            labels[name] = window.label
+
+    @classmethod
+    def from_json(cls, raw: object, base: Path | str, overrides: Mapping[str, object] | None = None) -> "RunConfig":
+        """Checked config from a config file's JSON, its paths relative to *base*.
+
+        *overrides* (command-line values under the same keys, paths relative to
+        the working directory) win. Raises ConfigError naming the key; window
+        bounds that do not parse raise ValueError.
+        """
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a run config must be a JSON object, got {type(raw).__name__}")
+        overrides = {key: value for key, value in (overrides or {}).items() if value is not None}
+        values = {key: value for key, value in raw.items() if value is not None} | overrides
+        for key in (*raw, *overrides):
+            if key not in RUN_KEYS:
+                raise ConfigError(f"unknown config key {key!r}; known keys: {', '.join(RUN_KEYS)}")
+        for key, (expected, check, is_list, default) in RUN_KEYS.items():
+            if key not in values:
+                if default is _REQUIRED:
+                    raise ConfigError(f"{key} is required")
+                values[key] = default
+            elif not (isinstance(values[key], list) and all(map(check, values[key])) if is_list else check(values[key])):
+                raise ConfigError(f"{key} must be {expected}, got {json.dumps(values[key], default=repr)}")
+        rhos, primary = tuple(values["rhos"]), values["primaryRho"]
+        if not rhos:
+            raise ConfigError("rhos must list at least one coverage fraction")
+        if primary is None:
+            primary = DEFAULT_PRIMARY_RHO if DEFAULT_PRIMARY_RHO in rhos else rhos[len(rhos) // 2]
+        elif float(primary) not in rhos:
+            raise ConfigError(f"primaryRho {float(primary)} is not among the rhos {list(rhos)}")
+        else:
+            primary = float(primary)
+
+        def path(key: str) -> Path | None:  # values are None or non-empty strings
+            return values[key] and (Path() if key in overrides else Path(base)) / values[key]
+
+        detection = DetectionConfig(values["seed"], values["maxPasses"], float(values["minGainEpsilon"]))
+        return cls(
+            events=path("events"),
+            windows=tuple(_window(f"windows[{i}]", w) for i, w in enumerate(values["windows"])),
+            out_dir=path("outDir"),
+            analysis=AnalysisConfig(rhos, primary, values["minCommunitySize"], tuple(values["kinds"]), detection),
+            detection_range=values["detectionRange"] and _window("detectionRange", values["detectionRange"], "detection"),
+            membership=path("membership"),
+            lexicon=path("lexicon"),
+            foundation_map=path("foundationMap"),
+            keywords=tuple(values["keywords"] or ()) or None,
+            include_shares=values["includeShares"],
+        )
 
 
 @dataclass(frozen=True)
@@ -381,3 +513,37 @@ def write_json(payload: object, path: Path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, ensure_ascii=False)
         fh.write("\n")
+
+
+def run(config: RunConfig) -> None:
+    """Ingest; read or detect the membership; then the structural windows and,
+    with a lexicon, the speech windows, each report written into ``config.out_dir``."""
+    out_dir = config.out_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with config.events.open("r", encoding="utf-8") as fh:
+        events = ingest_events(fh, keywords=config.keywords)
+    if config.membership:
+        with config.membership.open("r", encoding="utf-8") as fh:
+            membership = read_membership(fh)
+    else:
+        membership, result = detect_membership(events, config.analysis, config.detection_range)
+        write_json(list(result.pass_modularity), out_dir / "detection_log.json")
+    with (out_dir / "membership.tsv").open("w", encoding="utf-8") as fh:
+        for user in sorted(membership):
+            fh.write(f"{user}\t{membership[user]}\n")
+
+    structural = run_structural_analysis(events, config.windows, config=config.analysis, membership=membership)
+    write_json([r.to_dict() for r in structural], out_dir / "structural.json")
+    for report in structural:
+        emit_plot_data(report, out_dir)
+
+    if config.lexicon:
+        with config.lexicon.open("r", encoding="utf-8") as fh:
+            lexicon = parse_mfd_dic(fh)
+        foundation_map = load_foundation_map(config.foundation_map)
+        speech = run_speech_analysis(
+            events, config.windows, membership, lexicon, foundation_map, include_shares=config.include_shares
+        )
+        write_json([r.to_dict() for r in speech], out_dir / "speech.json")
+        for report in speech:
+            emit_plot_data(report, out_dir)

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import radscales
 from radscales.cli import main, parse_window
 from radscales.events import EVENT_KINDS, parse_timestamp
+from radscales.pipeline import RUN_KEYS
 
 from .streams import TEST_DIC, write_run_dir, write_stream
 
@@ -484,3 +486,220 @@ def test_run_deterministic_byte_identical(tmp_path):
         first = (tmp_path / "a" / "out" / name).read_bytes()
         second = (tmp_path / "b" / "out" / name).read_bytes()
         assert first == second, name
+
+
+def write_points(path, payload):
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+HIGHER = {"name": "c", "direction": "HIGHER_IS_MORE_RADICAL"}
+
+
+def test_pareto_rejects_duplicate_labels(tmp_path, capsys):
+    points = write_points(
+        tmp_path / "points.json",
+        {"criteria": [HIGHER], "points": [{"label": "x", "values": [1]}, {"label": "x", "values": [2]}]},
+    )
+    assert run_cli("pareto", "--points", points) == 2
+    assert "'x'" in capsys.readouterr().err
+
+
+# Each shape reached a traceback (exit 3) when it was accepted, or names
+# the criterion or point it is about.
+BAD_POINTS_FILES = {
+    "list-top-level": ([], "criteria"),
+    "no-points": ({"criteria": [HIGHER]}, "criteria"),
+    "list-label": ({"criteria": [HIGHER], "points": [{"label": ["x"], "values": [1]}]}, "point 0"),
+    "number-values": ({"criteria": [HIGHER], "points": [{"label": "x", "values": 3}]}, "point 0"),
+    "bool-value": ({"criteria": [HIGHER], "points": [{"label": "x", "values": [1]}, {"label": "y", "values": [True]}]}, "point 1"),
+    "huge-value": ({"criteria": [HIGHER], "points": [{"label": "x", "values": [10**400]}]}, "point 0"),
+    "nameless-criterion": ({"criteria": [HIGHER, {"direction": "HIGHER_IS_MORE_RADICAL"}], "points": []}, "criterion 1"),
+    "bad-direction": ({"criteria": [{"name": "c", "direction": "UP"}], "points": []}, "criterion 0"),
+    "list-direction": ({"criteria": [{"name": "c", "direction": ["UP"]}], "points": []}, "criterion 0"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BAD_POINTS_FILES))
+def test_pareto_rejects_malformed_points_file(tmp_path, capsys, shape):
+    payload, named = BAD_POINTS_FILES[shape]
+    assert run_cli("pareto", "--points", write_points(tmp_path / "points.json", payload)) == 2
+    assert named in capsys.readouterr().err
+
+
+points_files = json_values | st.fixed_dictionaries(
+    {},
+    optional={
+        "criteria": json_values | st.lists(
+            json_values | st.fixed_dictionaries(
+                {},
+                optional={
+                    "name": json_values | st.just("c"),
+                    "direction": json_values | st.sampled_from([d.value for d in radscales.Direction]),
+                },
+            ),
+            max_size=3,
+        ),
+        "points": json_values | st.lists(
+            json_values | st.fixed_dictionaries(
+                {},
+                optional={
+                    "label": json_values | st.sampled_from(["x", "y"]),
+                    "values": json_values | st.lists(st.integers() | st.floats() | st.booleans(), max_size=3),
+                },
+            ),
+            max_size=4,
+        ),
+    },
+)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(points_files)
+def test_pareto_exit_code_over_points_file_shapes(tmp_path, payload):
+    points = write_points(tmp_path / "points.json", payload)
+    assert run_cli("pareto", "--points", points, "--out", tmp_path / "frontier.json") in (0, 2)
+
+
+# Config edits that reached a traceback (exit 3), split a string into
+# characters, ignored a mistyped key, or ran with a value other than the one
+# written. Each is a usage error that names the key and writes nothing.
+BAD_CONFIG_EDITS = [
+    ("rhos", 5),
+    ("windows", "w1"),
+    ("events", ["a"]),
+    ("detectionRange", [1]),
+    ("outDir", 5),
+    ("kinds", "retweet"),
+    ("keywords", "vote"),
+    ("minCommunitysize", 3),
+    ("seed", 1.7),
+    ("minCommunitySize", 2.9),
+    ("minCommunitySize", True),
+    ("includeShares", "false"),
+    ("primaryRho", "0.75"),
+    ("rhos", [0.5, 0.75, 1.5]),
+    ("detectionRange", {"start": "2022-09-19"}),
+    ("windows", [{"label": "w", "start": "2022-09-19", "end": "2022-10-03", "extra": 1}]),
+    ("windows", []),
+    ("kinds", ["retweet", "like"]),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_CONFIG_EDITS, ids=[f"{k}={json.dumps(v)}" for k, v in BAD_CONFIG_EDITS])
+def test_run_rejects_bad_config_value(tmp_path, capsys, key, value):
+    config_path = write_run_dir(tmp_path)
+    update_config(config_path, **{key: value})
+    assert run_cli("run", "--config", config_path) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_config_that_is_not_an_object(tmp_path, capsys):
+    config_path = write_run_dir(tmp_path)
+    config_path.write_text("[]", encoding="utf-8")
+    assert run_cli("run", "--config", config_path) == 1
+    assert "must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_requires_windows(tmp_path, capsys):
+    config_path = write_run_dir(tmp_path)
+    update_config(config_path, windows=None)
+    assert run_cli("run", "--config", config_path) == 1
+    assert "windows is required" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_null_max_passes_takes_the_default(tmp_path):
+    default = write_run_dir(tmp_path / "default")
+    null = write_run_dir(tmp_path / "null")
+    config = json.loads(null.read_text(encoding="utf-8"))
+    config["maxPasses"] = None
+    null.write_text(json.dumps(config), encoding="utf-8")
+    assert run_cli("run", "--config", default, "--out-dir", tmp_path / "default" / "out") == 0
+    assert run_cli("run", "--config", null, "--out-dir", tmp_path / "null" / "out") == 0
+    for name in ("detection_log.json", "structural.json"):
+        assert (tmp_path / "null" / "out" / name).read_bytes() == (tmp_path / "default" / "out" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "windows, labels",
+    [
+        (["a:2022-09-19:2022-10-03", "a:2022-10-03:2022-10-17"], ("'a'", "'a'")),
+        (["a b:2022-09-19:2022-10-03", "a_b:2022-10-03:2022-10-17"], ("'a b'", "'a_b'")),
+    ],
+    ids=["equal-labels", "equal-file-names"],
+)
+def test_run_rejects_colliding_window_labels(tmp_path, capsys, windows, labels):
+    config = write_run_dir(tmp_path)
+    flags = [arg for window in windows for arg in ("--window", window)]
+    assert run_cli("run", "--config", config, *flags) == 1
+    err = capsys.readouterr().err
+    assert all(label in err for label in labels)
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_flags_get_the_config_checks(tmp_path, capsys):
+    config = write_run_dir(tmp_path)
+    assert run_cli("run", "--config", config, "--rho", "1.5") == 1
+    assert "rhos" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--config", config, "--min-community-size", "2.5")
+    assert exc.value.code == 1
+    assert "--min-community-size" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+config_edit_values = json_values | st.sampled_from(
+    [
+        [0.5, 1],
+        {"start": "2022-09-19", "end": "2022-10-31"},
+        {"start": OUT_OF_RANGE, "end": "2022-10-31"},
+        [{"label": "w", "start": "2022-09-19", "end": "2022-10-03"}],
+        [{"label": "w", "start": "2022-10-03", "end": "2022-09-19"}],
+        ["retweet", "reply"],
+        "auto",
+    ]
+)
+# Paths name files in the run directory and a fresh output directory only,
+# so that a run reads and writes nowhere else.
+not_strings = json_values.filter(lambda v: not isinstance(v, str))
+key_values = {
+    key: not_strings | st.sampled_from(["events.jsonl", "mfd_test.dic", "config.json", "missing", ""])
+    for key in ("events", "membership", "lexicon", "foundationMap")
+}
+key_values["outDir"] = not_strings | st.sampled_from(["out", "res", ""])
+config_edits = st.dictionaries(
+    st.sampled_from(sorted(RUN_KEYS) + ["minCommunitysize", ""]), st.none(), max_size=3
+).flatmap(
+    lambda keys: st.fixed_dictionaries({key: key_values.get(key, config_edit_values) for key in keys})
+)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config_edits)
+def test_run_exit_code_over_config_shapes(tmp_path, edits):
+    base = Path(tempfile.mkdtemp(dir=tmp_path))
+    config_path = write_run_dir(base)
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config.update(edits)
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    out_dir = base / (config["outDir"] if isinstance(config.get("outDir"), str) and config["outDir"] else "out")
+    code = run_cli("run", "--config", config_path)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert not out_dir.exists()
+    shutil.rmtree(base)
+
+
+@pytest.mark.parametrize("fmap", [[], {"Fairness": 5}, {"Fairness": [1]}, {"Fairness": "FairnessVirtue"}])
+def test_lexicon_score_rejects_malformed_foundation_map(tmp_path, capsys, fmap):
+    dic = tmp_path / "test.dic"
+    dic.write_text(TEST_DIC, encoding="utf-8")
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text(json.dumps({"community": "x", "text": "ordem"}) + "\n", encoding="utf-8")
+    fmap_path = tmp_path / "map.json"
+    fmap_path.write_text(json.dumps(fmap), encoding="utf-8")
+    assert run_cli("lexicon-score", "--dic", dic, "--docs", docs, "--map", fmap_path) == 2
+    assert "list of category names" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from radscales import CriterionSpec, Direction, ParetoPoint, dominates, pareto_frontier
-from radscales.errors import EmptyInputError, SchemaMismatchError
+from radscales.errors import DuplicateLabelError, EmptyInputError, SchemaMismatchError
 
 from .oracles import all_pairs_frontier
 
@@ -150,3 +150,16 @@ def test_monotone_transform_invariance(raw):
         point(f"p{i}", a * a * 3 + 1, b) for i, (a, b) in enumerate(raw)
     ]  # x -> 3x^2+1 is strictly increasing on these non-negative grids
     assert pareto_frontier(points, TWO_D) == pareto_frontier(stretched, TWO_D)
+
+
+def test_duplicate_labels_rejected():
+    points = [
+        ParetoPoint("x", (1.0,)),
+        ParetoPoint("x", (2.0,)),
+        ParetoPoint("y", (0.0,)),
+    ]
+    criteria = [CriterionSpec("c", Direction.HIGHER_IS_MORE_RADICAL)]
+    with pytest.raises(DuplicateLabelError, match="'x'") as exc:
+        pareto_frontier(points, criteria)
+    assert isinstance(exc.value, ValueError)
+    assert exc.value.label == "x"

@@ -1,6 +1,8 @@
 import io
 import json
 import logging
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,14 +19,15 @@ from radscales import (
     run_speech_analysis,
     run_structural_analysis,
 )
-from radscales.errors import DuplicateAssignmentError, NoEventsError
+from radscales.cli import main as cli_main
+from radscales.errors import ConfigError, DuplicateAssignmentError, NoEventsError
 from radscales.events import EVENT_KINDS, Event, EventLog, build_interaction_graph
 from radscales.graph import induced_subgraph
 from radscales.pareto import CriterionSpec, Direction, ParetoPoint, pareto_frontier
-from radscales.pipeline import detect_membership, emit_plot_data
+from radscales.pipeline import RUN_KEYS, RunConfig, detect_membership, emit_plot_data, run
 
 from .oracles import membership_first_graph
-from .streams import TEST_DIC, write_stream
+from .streams import TEST_DIC, write_run_dir, write_stream
 
 
 @pytest.fixture(scope="module")
@@ -486,3 +489,116 @@ def test_read_membership():
     assert mapping == {"u1": "left", "u2": "right", "u3": "left"}
     with pytest.raises(DuplicateAssignmentError):
         read_membership(io.StringIO("u1\tx\nu1\ty\n"))
+
+
+def _run_json(**changes):
+    raw = {"events": "events.jsonl", "windows": [{"label": "w", "start": "2022-09-19", "end": "2022-10-03"}]}
+    raw.update(changes)
+    return raw
+
+
+def test_run_config_flags_beat_keys(tmp_path):
+    raw = _run_json(seed=3, rhos=[0.5], primaryRho=0.5, minCommunitySize=4, includeShares=False)
+    overrides = {
+        "seed": 5,
+        "rhos": [0.75, 1.0],
+        "minCommunitySize": "auto",
+        "windows": [WindowSpec.from_strings("flag", "2022-10-03", "2022-10-17")],
+        "includeShares": True,
+    }
+    with pytest.raises(ConfigError, match="primaryRho 0.5 is not among the rhos"):
+        RunConfig.from_json(raw, tmp_path, overrides)
+    del raw["primaryRho"]
+    config = RunConfig.from_json(raw, tmp_path, overrides)
+    assert config.analysis.detection.seed == 5
+    assert config.analysis.rhos == (0.75, 1.0)
+    assert config.analysis.min_community_size == "auto"
+    assert [w.label for w in config.windows] == ["flag"]
+    assert config.include_shares is True
+    assert RunConfig.from_json(raw, tmp_path, {"seed": None}).analysis.detection.seed == 3
+
+
+def test_run_config_null_means_absent(tmp_path):
+    nulls = {key: None for key in RUN_KEYS if key not in ("events", "windows")}
+    config = RunConfig.from_json(_run_json(**nulls), tmp_path)
+    assert config == RunConfig.from_json(_run_json(), tmp_path)
+    assert config.analysis == AnalysisConfig()
+    assert config.out_dir == tmp_path / "out"
+    assert (config.membership, config.lexicon, config.foundation_map, config.keywords) == (None,) * 4
+    assert (config.detection_range, config.include_shares) == (None, False)
+    with pytest.raises(ConfigError, match="events is required"):
+        RunConfig.from_json(_run_json(events=None), tmp_path)
+
+
+def test_run_config_paths(tmp_path):
+    raw = _run_json(outDir="reports", lexicon="mfd.dic", foundationMap="map.json", membership="m.tsv")
+    config = RunConfig.from_json(raw, tmp_path)
+    assert config.out_dir == tmp_path / "reports"
+    assert config.events == tmp_path / "events.jsonl"
+    assert (config.lexicon, config.foundation_map, config.membership) == (
+        tmp_path / "mfd.dic", tmp_path / "map.json", tmp_path / "m.tsv"
+    )
+    # --out-dir is relative to the working directory, not to the config file
+    assert RunConfig.from_json(raw, tmp_path, {"outDir": "alt"}).out_dir == Path("alt")
+
+
+@pytest.mark.parametrize(
+    "rhos, primary",
+    [([0.5, 0.75, 1.0], 0.75), ([0.25, 0.75], 0.75), ([0.5, 1.0], 1.0), ([0.2, 0.4, 0.6], 0.4), ([0.5, 1], 1)],
+)
+def test_run_config_primary_rho_fallback(tmp_path, rhos, primary):
+    analysis = RunConfig.from_json(_run_json(rhos=rhos), tmp_path).analysis
+    assert analysis.primary_rho == primary
+    # the rho is kept as written: an integer 1 is reported as 1, not 1.0
+    assert type(analysis.primary_rho) is type(primary)
+
+
+def test_run_config_explicit_primary_rho_is_a_float(tmp_path):
+    analysis = RunConfig.from_json(_run_json(rhos=[0.5, 1], primaryRho=1), tmp_path).analysis
+    assert analysis.primary_rho == 1.0 and type(analysis.primary_rho) is float
+
+
+def test_run_config_window_bounds_stay_data_errors(tmp_path):
+    bad = [{"label": "w", "start": "2022-13-01", "end": "2022-10-03"}]
+    with pytest.raises(ValueError, match=r"windows\[0\]") as exc:
+        RunConfig.from_json(_run_json(windows=bad), tmp_path)
+    assert not isinstance(exc.value, ConfigError)
+
+
+@pytest.mark.parametrize("labels", [("a", "a"), ("a b", "a_b"), ("x/y", "x_y")])
+def test_run_config_rejects_colliding_windows(tmp_path, labels):
+    windows = [
+        WindowSpec.from_strings(label, start, end)
+        for label, (start, end) in zip(labels, [("2022-09-19", "2022-10-03"), ("2022-10-03", "2022-10-17")])
+    ]
+    with pytest.raises(ConfigError, match=f"{labels[0]!r} and {labels[1]!r}"):
+        RunConfig(events=tmp_path / "e.jsonl", windows=tuple(windows), out_dir=tmp_path)
+    with pytest.raises(ConfigError, match="at least one window"):
+        RunConfig(events=tmp_path / "e.jsonl", windows=(), out_dir=tmp_path)
+
+
+def test_pipeline_run_writes_what_the_cli_writes(tmp_path):
+    config_path = write_run_dir(tmp_path)
+    raw = json.loads(config_path.read_text(encoding="utf-8"))
+    run(RunConfig.from_json(raw, tmp_path, {"outDir": str(tmp_path / "library")}))
+    assert cli_main(["run", "--config", str(config_path), "--out-dir", str(tmp_path / "cli")]) == 0
+    written = sorted(p.name for p in (tmp_path / "cli").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "library").iterdir())
+    assert "speech.json" in written and "detection_log.json" in written
+    for name in written:
+        assert (tmp_path / "library" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes(), name
+
+
+def _readme_run_section() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("## Full pipeline", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_run_keys_match_run_config():
+    section = _readme_run_section()
+    table_keys = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+    assert sorted(table_keys) == sorted(RUN_KEYS)
+    assert len(table_keys) == len(set(table_keys))
+    example = json.loads(re.search(r"```json\n(.*?)```", section, flags=re.DOTALL).group(1))
+    assert set(example) <= set(RUN_KEYS)
+    RunConfig.from_json(example, Path("."))
