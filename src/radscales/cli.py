@@ -12,6 +12,7 @@ import json
 import logging
 import sys
 import traceback
+from collections import Counter
 from pathlib import Path
 from typing import Sequence
 
@@ -19,7 +20,7 @@ from . import __version__
 from .community import DetectionConfig, detect
 from .domination import greedy_partial_dominating_set
 from .errors import ConfigError, MalformedLineError, RadscalesError
-from .events import WindowSpec, build_interaction_graph, ingest_events, parse_timestamp, slice_window
+from .events import EVENT_KINDS, WindowSpec, build_interaction_graph, ingest_events, parse_timestamp, slice_window
 from .graph import induced_subgraph, load_edge_list, load_partition, write_edge_list, write_partition
 from .lexicon import load_foundation_map, parse_mfd_dic, score_by_community
 from .modularity import d_modularity_report
@@ -85,9 +86,7 @@ def _write_payload(payload: object, out: str | None) -> None:
 
 def _cmd_ingest(args) -> int:
     log = _load_events(Path(args.events), kinds=args.kinds, keywords=args.keywords)
-    kinds_seen: dict[str, int] = {}
-    for event in log:
-        kinds_seen[event.kind] = kinds_seen.get(event.kind, 0) + 1
+    kinds_seen = Counter(EVENT_KINDS[k] for k in log.kinds)
     _write_payload(
         {"events": len(log), "skipped": log.skipped, "byKind": dict(sorted(kinds_seen.items()))},
         args.out,

@@ -3,16 +3,22 @@
 Events arrive as JSONL records with fields {source, target, author, text,
 timestamp, kind}. Interaction records carry source and target (endorsement
 edges, e.g. retweets); document records carry author and text. A single
-record may be both. Invalid records are counted and skipped, never fatal
-unless nothing valid remains.
+record may be both. Invalid records, among them those with a user id that
+membership.tsv could not hold, are counted and skipped, never fatal unless
+nothing valid remains. An EventLog keeps the records as columns in file
+order; a time window is a bisect range of their stable time order.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+import re
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from datetime import datetime, timezone
-from typing import IO, Container, Iterable
+from datetime import datetime, timedelta, timezone
+from typing import IO, Container, Iterable, Iterator, Sequence
 
 from .errors import NoEventsError
 from .graph import Graph, build_graph
@@ -21,6 +27,11 @@ from .lexicon import tokenize
 EVENT_KINDS = ("retweet", "reply", "mention", "other")
 # Record fields that, when present and not null, must be strings.
 _STRING_FIELDS = ("source", "target", "author", "text", "timestamp")
+_USER_FIELDS = ("source", "target", "author")
+# A user id that membership.tsv could not give back as written: one with a
+# TAB, CR or LF, with leading or trailing whitespace (as str.strip sees it),
+# or with a leading '#'.
+_UNPORTABLE_USER = re.compile(r"[\t\r\n]|\A[\s#]|\s\Z")
 
 
 def parse_timestamp(value: str) -> datetime:
@@ -44,6 +55,8 @@ def parse_timestamp(value: str) -> datetime:
 
 @dataclass(frozen=True)
 class Event:
+    """One record of an EventLog, as its iteration yields it."""
+
     timestamp: datetime
     kind: str
     source: str | None = None
@@ -52,25 +65,81 @@ class Event:
     text: str | None = None
 
     @property
-    def is_interaction(self) -> bool:
-        return bool(self.source and self.target)
-
-    @property
     def speaker(self) -> str | None:
         """Whose corpus a text record belongs to: author first, else source."""
         return self.author or self.source
 
 
-@dataclass(frozen=True)
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def _micros(instant: datetime) -> int:
+    """Exact integer microseconds since the Unix epoch of an aware datetime."""
+    return (instant - _EPOCH) // _MICROSECOND
+
+
 class EventLog:
-    events: tuple[Event, ...]
-    skipped: int = 0
+    """Events as columns in file order, user ids interned.
+
+    ``times`` holds UTC microseconds since the epoch, ``kinds`` indices into
+    EVENT_KINDS, and ``sources``/``targets``/``authors`` indices into
+    ``users`` (-1 when absent). ``rows`` lists the row numbers this log
+    covers, in file order: every row for an ingested log, a window's rows
+    for a slice, which shares the columns. Iterating yields Event values.
+    """
+
+    def __init__(self, events: Iterable[Event] = (), skipped: int = 0):
+        self.times = array("q")
+        self.kinds = bytearray()
+        self.sources = array("i")
+        self.targets = array("i")
+        self.authors = array("i")
+        self.texts: list[str | None] = []
+        self._user_ids: dict[str, int] = {}
+        self.skipped = skipped
+        for e in events:
+            self._append((_micros(e.timestamp), e.kind, e.source, e.target, e.author, e.text))
+        self._index()
+
+    def _append(self, fields: tuple) -> None:
+        micros, kind, source, target, author, text = fields
+        ids = self._user_ids
+        self.times.append(micros)
+        self.kinds.append(EVENT_KINDS.index(kind))
+        self.sources.append(-1 if source is None else ids.setdefault(source, len(ids)))
+        self.targets.append(-1 if target is None else ids.setdefault(target, len(ids)))
+        self.authors.append(-1 if author is None else ids.setdefault(author, len(ids)))
+        self.texts.append(text)
+
+    def _index(self) -> None:
+        """Users by id, the stable time order of all rows and the times in that order."""
+        times = self.times
+        self.users = list(self._user_ids)
+        self.order = array("i", sorted(range(len(times)), key=times.__getitem__))
+        self.sorted_times = array("q", map(times.__getitem__, self.order))
+        self.span = (0, len(times))
+        self.rows: Sequence[int] = range(len(times))
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.rows)
 
-    def __iter__(self):
-        return iter(self.events)
+    def __iter__(self) -> Iterator[Event]:
+        users = self.users
+        for r in self.rows:
+            source, target, author = self.sources[r], self.targets[r], self.authors[r]
+            yield Event(
+                timestamp=_EPOCH + timedelta(microseconds=self.times[r]),
+                kind=EVENT_KINDS[self.kinds[r]],
+                source=users[source] if source >= 0 else None,
+                target=users[target] if target >= 0 else None,
+                author=users[author] if author >= 0 else None,
+                text=self.texts[r],
+            )
+
+    @property
+    def events(self) -> tuple[Event, ...]:
+        return tuple(self)
 
 
 @dataclass(frozen=True)
@@ -94,8 +163,8 @@ class WindowSpec:
         return self.start <= instant < self.end
 
 
-def _event_from_record(record: dict) -> Event | None:
-    """Validated Event, or None when the record is unusable."""
+def _record_fields(record: dict) -> tuple | None:
+    """(micros, kind, source, target, author, text) of a valid record, else None."""
     if not isinstance(record, dict):
         return None
     kind = record.get("kind")
@@ -106,6 +175,10 @@ def _event_from_record(record: dict) -> Event | None:
         for name in _STRING_FIELDS
     ):
         return None
+    for name in _USER_FIELDS:
+        user = record.get(name)
+        if user and _UNPORTABLE_USER.search(user):
+            return None
     if record.get("timestamp") is None:
         return None
     try:
@@ -120,14 +193,7 @@ def _event_from_record(record: dict) -> Event | None:
     document = bool((author or source) and text)
     if not interaction and not document:
         return None
-    return Event(
-        timestamp=timestamp,
-        kind=kind,
-        source=source,
-        target=target,
-        author=author,
-        text=text,
-    )
+    return _micros(timestamp), kind, source, target, author, text
 
 
 def ingest_events(
@@ -144,8 +210,7 @@ def ingest_events(
     """
     wanted_kinds = set(kinds) if kinds is not None else None
     wanted_words = {w.lower() for w in keywords} if keywords is not None else None
-    events: list[Event] = []
-    skipped = 0
+    log = EventLog()
     for raw in stream:
         line = raw.strip()
         if not line:
@@ -153,29 +218,34 @@ def ingest_events(
         try:
             record = json.loads(line)
         except ValueError:  # also integers past the interpreter's digit limit
-            skipped += 1
+            log.skipped += 1
             continue
-        event = _event_from_record(record)
-        if event is None:
-            skipped += 1
+        fields = _record_fields(record)
+        if fields is None:
+            log.skipped += 1
             continue
-        if wanted_kinds is not None and event.kind not in wanted_kinds:
+        if wanted_kinds is not None and fields[1] not in wanted_kinds:
             continue
-        if wanted_words is not None:
-            if not event.text or not (wanted_words & set(tokenize(event.text))):
-                continue
-        events.append(event)
-    if not events:
+        text = fields[5]
+        if wanted_words is not None and not (text and wanted_words & set(tokenize(text))):
+            continue
+        log._append(fields)
+    if not log.times:
         raise NoEventsError("no valid event records after filtering")
-    return EventLog(events=tuple(events), skipped=skipped)
+    log._index()
+    return log
 
 
 def slice_window(events: EventLog, window: WindowSpec) -> EventLog:
-    """Events with start <= t < end, original order preserved."""
-    return EventLog(
-        events=tuple(e for e in events if window.contains(e.timestamp)),
-        skipped=0,
-    )
+    """Events with start <= t < end, file order preserved, sharing the columns."""
+    lo, hi = events.span
+    lo = max(lo, bisect_left(events.sorted_times, _micros(window.start)))
+    hi = max(lo, min(hi, bisect_left(events.sorted_times, _micros(window.end))))
+    view = copy.copy(events)
+    view.skipped = 0
+    view.span = (lo, hi)
+    view.rows = array("i", sorted(events.order[lo:hi]))
+    return view
 
 
 def build_interaction_graph(
@@ -188,13 +258,16 @@ def build_interaction_graph(
     interactions match or all collapse to self-loops, before ``known`` applies.
     """
     wanted = set(kinds) if kinds is not None else None
-    pairs = [
-        (event.source, event.target)
-        for event in events
-        if event.is_interaction and (wanted is None or event.kind in wanted)
-    ]
-    if not pairs:
-        raise NoEventsError("no interaction events match the requested kinds")
-    if all(a == b for a, b in pairs):
+    matching = [wanted is None or kind in wanted for kind in EVENT_KINDS]
+    users, sources, targets = events.users, events.sources, events.targets
+
+    def rows() -> Iterator[int]:
+        for r in events.rows:
+            if sources[r] >= 0 and targets[r] >= 0 and matching[events.kinds[r]]:
+                yield r
+
+    if all(sources[r] == targets[r] for r in rows()):
+        if next(rows(), None) is None:
+            raise NoEventsError("no interaction events match the requested kinds")
         raise NoEventsError("all matching interactions are self-loops")
-    return build_graph(pairs, keep=known)
+    return build_graph(((users[sources[r]], users[targets[r]]) for r in rows()), keep=known)

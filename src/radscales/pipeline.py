@@ -35,6 +35,7 @@ DEFAULT_PRIMARY_RHO = 0.75
 DEFAULT_KINDS = ("retweet",)
 # Sentinel for "use the resolution-limit threshold of the window graph".
 AUTO = "auto"
+_RETWEET = EVENT_KINDS.index("retweet")
 
 
 @dataclass(frozen=True)
@@ -412,17 +413,20 @@ def run_speech_analysis(
     criteria = tuple(CriterionSpec(a, Direction.HIGHER_IS_MORE_RADICAL) for a in axes)
     community_labels = sorted(set(membership.values()))
     reports: list[SpeechReport] = []
+    users, texts, kinds, authors, sources = events.users, events.texts, events.kinds, events.authors, events.sources
     for window in windows:
         docs: dict[str, list[str]] = {}
-        for event in slice_window(events, window):
-            if not event.text:
+        for r in slice_window(events, window).rows:
+            text = texts[r]
+            if not text:
                 continue
-            if event.kind == "retweet" and not include_shares:
+            if kinds[r] == _RETWEET and not include_shares:
                 continue
-            speaker = event.speaker
-            if speaker is None or speaker not in membership:
+            # The speaker is the author, else the source.
+            speaker = authors[r] if authors[r] >= 0 else sources[r]
+            if speaker < 0 or users[speaker] not in membership:
                 continue
-            docs.setdefault(membership[speaker], []).append(event.text)
+            docs.setdefault(membership[users[speaker]], []).append(text)
         scored: list[FoundationScores] = []
         for label in community_labels:
             if not docs.get(label):

@@ -4,8 +4,10 @@ share no code path with the library."""
 
 from __future__ import annotations
 
+import json
 import math
 import re
+from datetime import datetime, timezone
 from itertools import combinations
 from typing import Container, Iterable, Mapping, Sequence
 
@@ -209,3 +211,59 @@ def sorted_induced_rows(graph: Graph, vertices: Iterable[int]) -> tuple[tuple[in
     return tuple(
         tuple(sorted(wanted.index(u) for u in graph.neighbors(v) if u in wanted)) for v in wanted
     )
+
+
+def naive_events(lines: Iterable[str]) -> tuple[list[tuple], int]:
+    """Valid records of a JSONL stream, one (timestamp, kind, source, target,
+    author, text) tuple per record in file order, and the number of invalid
+    records, read one record at a time straight from the documented rules."""
+    events: list[tuple] = []
+    skipped = 0
+    for line in lines:
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError:
+            skipped += 1
+            continue
+        event = _naive_event(record)
+        if event is None:
+            skipped += 1
+        else:
+            events.append(event)
+    return events, skipped
+
+
+def _naive_event(record) -> tuple | None:
+    if type(record) is not dict or record.get("kind") not in ("retweet", "reply", "mention", "other"):
+        return None
+    fields = {}
+    for name in ("source", "target", "author", "text", "timestamp"):
+        value = record.get(name)
+        if value is not None and type(value) is not str:
+            return None
+        fields[name] = value if value else None
+    for name in ("source", "target", "author"):
+        user = fields[name]
+        if user and (user.strip() != user or user[0] == "#" or "\t" in user or "\r" in user or "\n" in user):
+            return None
+    if record.get("timestamp") is None:
+        return None
+    stamp = record["timestamp"].strip()
+    if stamp[-1:] in ("Z", "z"):
+        stamp = stamp[:-1] + "+00:00"
+    try:
+        instant = datetime.fromisoformat(stamp)
+        instant = instant.replace(tzinfo=timezone.utc) if instant.tzinfo is None else instant.astimezone(timezone.utc)
+    except (ValueError, OverflowError):
+        return None
+    source, target, author, text = (fields[n] for n in ("source", "target", "author", "text"))
+    if not (source and target) and not ((author or source) and text):
+        return None
+    return instant, record["kind"], source, target, author, text
+
+
+def naive_slice(events: Iterable[tuple], start: datetime, end: datetime) -> list[tuple]:
+    """The events with start <= timestamp < end, by a linear scan in order."""
+    return [event for event in events if start <= event[0] < end]

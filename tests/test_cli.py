@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -486,6 +488,63 @@ def test_run_deterministic_byte_identical(tmp_path):
         first = (tmp_path / "a" / "out" / name).read_bytes()
         second = (tmp_path / "b" / "out" / name).read_bytes()
         assert first == second, name
+
+
+# sha256 of every file `run` writes for the tests/streams run dir with its
+# event lines shuffled by random.Random(9), taken before the columnar event
+# store: a window must keep file order, which seeds Louvain's vertex shuffle
+# and breaks greedy ties, whatever the order of the timestamps.
+SHUFFLED_STREAM_SHA256 = {
+    "detection_log.json": "6c708f8a22e01710a86865bbedd82f809937d6d7640613cdb9e7902eefea7b62",
+    "membership.tsv": "6b8b8a9d1d601b0c4cef03e0486b7817fcd0315404baf6055c13e08f5f9163f0",
+    "speech.json": "552ed0f85554d33daa165776bdee5eefb57ebcb7dc36a58afb41c5f02ee2ee24",
+    "speech_w1.csv": "9077c436ecc1f9411db6a215b63a0b1cef528781b99b96867dc9cf1244cedd91",
+    "speech_w2.csv": "9077c436ecc1f9411db6a215b63a0b1cef528781b99b96867dc9cf1244cedd91",
+    "speech_w3.csv": "9077c436ecc1f9411db6a215b63a0b1cef528781b99b96867dc9cf1244cedd91",
+    "speech_w4.csv": "9077c436ecc1f9411db6a215b63a0b1cef528781b99b96867dc9cf1244cedd91",
+    "structural.json": "4080a387f223b93ab013d30a14eb5033a8fd90a68446b6fa178787b2f62d08b0",
+    "structural_w1.csv": "435b2813bec93685d4cfc82679efebc930a629603a0b7b918a89cc79ffa62613",
+    "structural_w2.csv": "e18484a6eef33a8b6f33cc5732c8e91b2a99e6b4cfdbc41ff4a0a02f3e48913d",
+    "structural_w3.csv": "b9a91d850d6eee01775bc0e7e029827393d4ab2a3c9d07cb37ec7b67bbe6bca2",
+    "structural_w4.csv": "3d90802ba14eb090a7b671be1de50292332020c0f14bb7da030a85524edbe6e4",
+}
+
+
+def test_run_on_shuffled_stream_matches_golden_hashes(tmp_path):
+    config = write_run_dir(tmp_path)
+    events = tmp_path / "events.jsonl"
+    lines = events.read_text(encoding="utf-8").splitlines(keepends=True)
+    random.Random(9).shuffle(lines)
+    events.write_text("".join(lines), encoding="utf-8")
+    assert run_cli("run", "--config", config) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / "out").iterdir()}
+    assert written == SHUFFLED_STREAM_SHA256
+
+
+@pytest.mark.parametrize("user", ["a\tb", "#x", " y"])
+def test_run_membership_file_round_trips(tmp_path, user):
+    # two triangles; the id under test sits in the first one
+    triangles = [("u1", "u2", user), ("v1", "v2", "v3")]
+    records = [
+        {"source": a, "target": b, "timestamp": "2022-09-20T00:00:00Z", "kind": "retweet"}
+        for triangle in triangles
+        for a, b in ((triangle[0], triangle[1]), (triangle[0], triangle[2]), (triangle[1], triangle[2]))
+    ]
+    events = tmp_path / "events.jsonl"
+    events.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "events": "events.jsonl",
+        "windows": [{"label": "w", "start": "2022-09-19", "end": "2022-09-21"}],
+        "minCommunitySize": 1,
+    }), encoding="utf-8")
+    assert run_cli("run", "--config", config) == 0
+    update_config(config, membership="out/membership.tsv", outDir="again")
+    assert run_cli("run", "--config", config) == 0
+    first = (tmp_path / "out" / "structural.json").read_bytes()
+    assert (tmp_path / "again" / "structural.json").read_bytes() == first
+    assert run_cli("ingest", "--events", events, "--out", tmp_path / "ingest.json") == 0
+    assert json.loads((tmp_path / "ingest.json").read_text(encoding="utf-8"))["skipped"] == 2
 
 
 def write_points(path, payload):

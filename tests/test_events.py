@@ -1,6 +1,11 @@
+import gc
 import json
+import random
+import tracemalloc
+from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radscales import (
     WindowSpec,
@@ -10,6 +15,9 @@ from radscales import (
     slice_window,
 )
 from radscales.errors import NoEventsError
+from radscales.events import EVENT_KINDS
+
+from .oracles import naive_events, naive_slice
 
 
 def record(**kwargs):
@@ -192,3 +200,122 @@ def test_roundtrip_demo_edges(demo_graph):
     assert rebuilt.n == g.n
     assert rebuilt.m == g.m
     assert sorted(rebuilt.labels) == sorted(g.labels)
+
+
+# Ids that membership.tsv cannot hold as written: a TAB splits the line, a
+# leading '#' makes it a comment, surrounding whitespace is stripped away.
+UNPORTABLE_IDS = ["a\tb", "#x", " y", "y ", "a\nb", "a\rb", "x\u2028"]
+
+
+@pytest.mark.parametrize("user", UNPORTABLE_IDS)
+@pytest.mark.parametrize("field", ["source", "target", "author"])
+def test_ingest_skips_unportable_user_ids(field, user):
+    bad = dict(source="a", target="b", author="c", text="oi", timestamp="2022-09-20T00:00:00Z", kind="reply")
+    bad[field] = user
+    log = ingest_events(VALID + [record(**bad)])
+    assert len(log) == 3
+    assert log.skipped == 1
+
+
+def test_ingest_keeps_inner_space_and_hash():
+    lines = [record(source="a b", target="x#", timestamp="2022-09-20T00:00:00Z", kind="retweet")]
+    assert [(e.source, e.target) for e in ingest_events(lines)] == [("a b", "x#")]
+
+
+def test_slice_keeps_file_order_of_unsorted_input():
+    stamps = ["2022-09-20T03:00:00Z", "2022-09-20T01:00:00Z", "2022-09-20T02:00:00Z", "2022-09-20T01:00:00Z"]
+    lines = [record(source=f"u{i}", target="v", timestamp=t, kind="retweet") for i, t in enumerate(stamps)]
+    window = WindowSpec("w", parse_timestamp("2022-09-20T01:00:00Z"), parse_timestamp("2022-09-20T03:00:00Z"))
+    assert [e.source for e in slice_window(ingest_events(lines), window)] == ["u1", "u2", "u3"]
+
+
+BASE = datetime(2022, 9, 20, 10, tzinfo=timezone.utc)
+# Instants shared by records and window bounds, so that ties and events on a
+# bound are common; some have fractional seconds.
+INSTANTS = [BASE + timedelta(microseconds=us) for us in (-1, 0, 1, 250_000, 1_000_000, 3_600_000_000, 86_400_000_000)]
+OFFSETS = [timezone(timedelta(hours=h)) for h in (0, 3, -3.5, 14)]
+
+
+def _stamp(instant: datetime, offset: timezone, style: str) -> str:
+    if style == "naive":
+        return instant.replace(tzinfo=None).isoformat()
+    text = instant.astimezone(offset).isoformat()
+    return text.replace("+00:00", "Z") if style == "zulu" else text
+
+
+stamps = st.builds(
+    _stamp, st.sampled_from(INSTANTS), st.sampled_from(OFFSETS), st.sampled_from(["naive", "zulu", "offset"])
+)
+users = st.sampled_from(["u0", "u1", "u2", "a b"])
+absent = st.sampled_from(["", None])
+texts = st.sampled_from(["ordem hoje", "bom dia", "", None])
+# Records that are mostly valid, so that windows and their slices are rarely
+# empty, beside records with one or more fields that may be invalid.
+valid_records = st.fixed_dictionaries(
+    {"timestamp": stamps, "kind": st.sampled_from(EVENT_KINDS), "source": users, "target": users | absent},
+    optional={"author": users | absent, "text": texts},
+)
+noisy_records = st.fixed_dictionaries(
+    {},
+    optional={
+        "timestamp": stamps | st.sampled_from([None, "", "2022-13-01", "0001-01-01T00:00:00+01:00", 5]),
+        "kind": st.sampled_from([*EVENT_KINDS, "quote", None, ["retweet"]]),
+        "source": users | absent | st.sampled_from(UNPORTABLE_IDS),
+        "target": users | absent | st.sampled_from(UNPORTABLE_IDS),
+        "author": users | absent | st.sampled_from(UNPORTABLE_IDS),
+        "text": texts | st.just(["bom", "dia"]),
+    },
+)
+stream_lines = st.lists(
+    st.one_of(valid_records.map(json.dumps), valid_records.map(json.dumps), noisy_records.map(json.dumps),
+              st.sampled_from(["{not json", "", "[]"])),
+    max_size=30,
+)
+bounds = st.tuples(st.sampled_from(INSTANTS), st.sampled_from(INSTANTS)).filter(lambda b: b[0] < b[1])
+
+
+def _fields(events) -> list[tuple]:
+    return [(e.timestamp, e.kind, e.source, e.target, e.author, e.text) for e in events]
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream_lines, bounds, bounds)
+def test_store_and_slices_equal_naive_oracle(lines, outer, inner):
+    expected, skipped = naive_events(lines)
+    if not expected:
+        with pytest.raises(NoEventsError):
+            ingest_events(lines)
+        return
+    log = ingest_events(lines)
+    assert log.skipped == skipped
+    assert _fields(log) == expected
+    window = slice_window(log, WindowSpec("outer", *outer))
+    assert _fields(window) == naive_slice(expected, *outer)
+    assert len(window) == len(naive_slice(expected, *outer))
+    again = slice_window(window, WindowSpec("inner", *inner))
+    assert _fields(again) == naive_slice(naive_slice(expected, *outer), *inner)
+
+
+def test_store_keeps_under_100_bytes_per_event():
+    rng = random.Random(20)
+    start = parse_timestamp("2022-09-20")
+    lines = [
+        record(
+            source=f"u{rng.randrange(500)}",
+            target=f"u{rng.randrange(500)}",
+            timestamp=(start + timedelta(seconds=i)).isoformat(),
+            kind="retweet",
+        )
+        for i in range(20_000)
+    ]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log = ingest_events(lines)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(log) == 20_000
+    assert retained / len(log) < 100

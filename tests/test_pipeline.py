@@ -2,10 +2,11 @@ import io
 import json
 import logging
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from radscales import (
     AnalysisConfig,
@@ -602,3 +603,22 @@ def test_readme_run_keys_match_run_config():
     example = json.loads(re.search(r"```json\n(.*?)```", section, flags=re.DOTALL).group(1))
     assert set(example) <= set(RUN_KEYS)
     RunConfig.from_json(example, Path("."))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.text(min_size=1, max_size=3), st.text(min_size=1, max_size=3)), max_size=8))
+def test_detected_membership_file_round_trips(pairs):
+    """Any user ids ingest accepts survive membership.tsv: a run that reads
+    back the membership another run detected writes the same report."""
+    records = [
+        {"source": a, "target": b, "timestamp": "2022-09-20T00:00:00Z", "kind": "retweet"}
+        for a, b in [("u0", "u1"), *pairs]
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        (base / "events.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        raw = _run_json(minCommunitySize=1)
+        run(RunConfig.from_json(raw, base, {"outDir": str(base / "first")}))
+        run(RunConfig.from_json({**raw, "membership": "first/membership.tsv"}, base, {"outDir": str(base / "second")}))
+        first = (base / "first" / "structural.json").read_bytes()
+        assert (base / "second" / "structural.json").read_bytes() == first
