@@ -30,8 +30,8 @@ _STRING_FIELDS = ("source", "target", "author", "text", "timestamp")
 _USER_FIELDS = ("source", "target", "author")
 # A user id that membership.tsv could not give back as written: one with a
 # TAB, CR or LF, with leading or trailing whitespace (as str.strip sees it),
-# or with a leading '#'.
-_UNPORTABLE_USER = re.compile(r"[\t\r\n]|\A[\s#]|\s\Z")
+# with a leading '#', or with a lone surrogate, which UTF-8 cannot encode.
+_UNPORTABLE_USER = re.compile(r"[\t\r\n\ud800-\udfff]|\A[\s#]|\s\Z")
 
 
 def parse_timestamp(value: str) -> datetime:

@@ -213,15 +213,18 @@ def parse_mfd_dic(stream: IO[str] | Iterable[str]) -> Lexicon:
     return Lexicon(categories=categories, entries=tuple(entries))
 
 
-def _letter_runs(text: str) -> list[str]:
-    """Letter sequences outside URLs and @-handles, case preserved."""
-    return _WORD_RE.findall(_HANDLE_RE.sub(" ", _URL_RE.sub(" ", text)))
+def _chunk_runs(chunk: str) -> Sequence[str]:
+    """Letter runs of one whitespace chunk outside URLs and @-handles, case
+    preserved. A letter-only chunk is its own run and skips the regexes."""
+    if chunk.isalpha():
+        return (chunk,)
+    return _WORD_RE.findall(_HANDLE_RE.sub(" ", _URL_RE.sub(" ", chunk)))
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercased letter-sequence tokens; URLs, @-handles, digits and
     punctuation are dropped, diacritics preserved."""
-    return [match.lower() for match in _letter_runs(text)]
+    return [run.lower() for chunk in text.split() for run in _chunk_runs(chunk)]
 
 
 def score_corpus(
@@ -236,26 +239,27 @@ def score_corpus(
     that axis. Raises EmptyCorpusError when the corpus has no tokens.
     """
     axis_ids = foundation_map.axis_ids(lexicon)
-    # Lowercase each distinct raw match, never a whole document: lowercasing
-    # can change the letter runs (e.g. "İ" becomes "i" plus a combining dot).
-    runs: Counter[str] = Counter()
+    # No URL, handle or letter run crosses whitespace, so each distinct
+    # whitespace chunk is tokenized once. Each run is lowercased on its own:
+    # lowercasing can change the runs ("İ" becomes "i" plus a combining dot).
+    chunks: Counter[str] = Counter()
     for doc in docs:
-        runs.update(_letter_runs(doc))
-    token_count = sum(runs.values())
+        chunks.update(doc.split())
+    hits: dict[frozenset[int], int] = {}
+    for chunk, count in chunks.items():
+        for run in _chunk_runs(chunk):
+            matched = lexicon.category_ids_for(run.lower())
+            hits[matched] = hits.get(matched, 0) + count
+    token_count = sum(hits.values())
     if token_count == 0:
         raise EmptyCorpusError(label)
-    totals = {axis: 0 for axis in axis_ids}
-    for run, count in runs.items():
-        matched = lexicon.category_ids_for(run.lower())
-        if not matched:
-            continue
-        for axis, ids in axis_ids.items():
-            if matched & ids:
-                totals[axis] += count
     return FoundationScores(
         community_label=label,
         token_count=token_count,
-        per_foundation={axis: totals[axis] / token_count for axis in axis_ids},
+        per_foundation={
+            axis: sum(count for matched, count in hits.items() if matched & ids) / token_count
+            for axis, ids in axis_ids.items()
+        },
     )
 
 

@@ -248,6 +248,8 @@ def _naive_event(record) -> tuple | None:
         user = fields[name]
         if user and (user.strip() != user or user[0] == "#" or "\t" in user or "\r" in user or "\n" in user):
             return None
+        if user and any(0xD800 <= ord(c) <= 0xDFFF for c in user):
+            return None
     if record.get("timestamp") is None:
         return None
     stamp = record["timestamp"].strip()

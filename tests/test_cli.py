@@ -547,6 +547,25 @@ def test_run_membership_file_round_trips(tmp_path, user):
     assert json.loads((tmp_path / "ingest.json").read_text(encoding="utf-8"))["skipped"] == 2
 
 
+@pytest.mark.parametrize("field", ["source", "target", "author"])
+def test_run_skips_lone_surrogate_user_ids(tmp_path, field):
+    valid = {"source": "u1", "target": "u2", "timestamp": "2022-09-20T00:00:00Z", "kind": "retweet"}
+    bad = {**valid, "author": "u3", "text": "ordem justo", field: "\ud800"}
+    events = tmp_path / "events.jsonl"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "events": "events.jsonl",
+        "windows": [{"label": "w", "start": "2022-09-19", "end": "2022-09-21"}],
+        "minCommunitySize": 1,
+    }), encoding="utf-8")
+    events.write_text(json.dumps(valid) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    assert run_cli("run", "--config", config) == 0
+    membership = (tmp_path / "out" / "membership.tsv").read_text(encoding="utf-8")
+    assert [line.split("\t")[0] for line in membership.splitlines()] == ["u1", "u2"]
+    events.write_text(json.dumps(bad) + "\n", encoding="utf-8")
+    assert run_cli("run", "--config", config) == 2
+
+
 def write_points(path, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
     return path

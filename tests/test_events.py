@@ -203,8 +203,9 @@ def test_roundtrip_demo_edges(demo_graph):
 
 
 # Ids that membership.tsv cannot hold as written: a TAB splits the line, a
-# leading '#' makes it a comment, surrounding whitespace is stripped away.
-UNPORTABLE_IDS = ["a\tb", "#x", " y", "y ", "a\nb", "a\rb", "x\u2028"]
+# leading '#' makes it a comment, surrounding whitespace is stripped away, a
+# lone surrogate cannot be encoded as UTF-8.
+UNPORTABLE_IDS = ["a\tb", "#x", " y", "y ", "a\nb", "a\rb", "x\u2028", "\ud800", "a\udfffb"]
 
 
 @pytest.mark.parametrize("user", UNPORTABLE_IDS)

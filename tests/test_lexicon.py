@@ -1,4 +1,6 @@
 import io
+import re
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -251,7 +253,10 @@ DOCS = st.builds(
         st.builds(
             str.__add__,
             st.one_of(WORDS, st.sampled_from(NOISE), st.text(max_size=4)),
-            st.sampled_from([" ", "", ",", "\n"]),
+            # Unicode whitespace splits chunks; "²", "½" and "_" are word
+            # characters that str.isalpha rejects, so their chunks take the
+            # regex path ("²" and "½" join a letter run, "_" ends one).
+            st.sampled_from([" ", "", ",", "\n", "\x1c", "\x85", "\xa0", "\u3000", "²", "½", "_"]),
         ),
         max_size=12,
     ),
@@ -303,3 +308,40 @@ def test_scoring_leaves_lexicon_unchanged(fmap):
     for token in {t for doc in docs for t in tokenize(doc)}:
         fresh = parse_mfd_dic(io.StringIO(DIFF_DIC))
         assert lex.category_ids_for(token) == fresh.category_ids_for(token), token
+
+
+@given(DOCS)
+def test_tokenize_matches_whole_document_regexes(doc):
+    url = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
+    handle = re.compile(r"@\w+")
+    word = re.compile(r"[^\W\d_]+", re.UNICODE)
+    assert tokenize(doc) == [m.lower() for m in word.findall(handle.sub(" ", url.sub(" ", doc)))]
+
+
+def test_code_points_split_and_letter_facts():
+    """Tokenizing per whitespace chunk, with a letter-only chunk as its own
+    run, relies on str.split cutting exactly where re's \\s matches and on
+    every str.isalpha letter lying in [^\\W\\d_]."""
+    space = re.compile(r"\s")
+    letter = re.compile(r"[^\W\d_]")
+    split_apart, not_word_letters = [], []
+    for c in map(chr, range(sys.maxunicode + 1)):
+        if c.isspace() != bool(space.match(c)) or (c.isspace() and f"a{c}b".split() != ["a", "b"]):
+            split_apart.append(c)
+        if c.isalpha() and not letter.match(c):
+            not_word_letters.append(c)
+    assert split_apart == []
+    assert not_word_letters == []
+
+
+def test_memo_holds_only_the_vocabulary(fmap):
+    lex = parse_mfd_dic(io.StringIO(DIFF_DIC))
+    for i in range(50):
+        # unique URLs, handles and punctuated chunks around four letter-only ones
+        docs = [
+            f"http://x.example/{i} www.site{i}.br @user{i} @Fair_{i}",
+            f"fair,{i} ({i}loyal) é{i}! x²{i} Fair loyalty",
+            f"İnanç dia fair#{i} {i}",
+        ]
+        score_corpus(lex, fmap, docs, "x")
+    assert set(lex._memo) == {"fair", "loyal", "loyalty", "é", "x²", "i̇nanç", "dia"}
