@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import __version__
 from .community import DetectionConfig, detect
-from .domination import greedy_partial_dominating_set
+from .domination import greedy_partial_dominating_sets
 from .errors import ConfigError, MalformedLineError, RadscalesError
 from .events import EVENT_KINDS, WindowSpec, build_interaction_graph, ingest_events, parse_timestamp, slice_window
 from .graph import induced_subgraph, load_edge_list, load_partition, write_edge_list, write_partition
@@ -133,27 +133,21 @@ def _cmd_dominate(args) -> int:
     with open(args.edges, "r", encoding="utf-8") as fh:
         graph = load_edge_list(fh)
     rhos = args.rho or DEFAULT_RHOS
+
+    def sweep(g) -> list[dict]:  # one greedy run answers every rho
+        return [result.to_dict(g) for result in greedy_partial_dominating_sets(g.adjacency, rhos)]
+
     if args.partition:
         with open(args.partition, "r", encoding="utf-8") as fh:
             partition = load_partition(fh, graph)
-        payload = {"communities": []}
-        for i in range(partition.group_count):
-            sub = induced_subgraph(graph, partition.members(i))
-            payload["communities"].append(
-                {
-                    "label": partition.group_label(i),
-                    "results": [
-                        greedy_partial_dominating_set(sub, rho).to_dict(sub)
-                        for rho in rhos
-                    ],
-                }
-            )
-    else:
         payload = {
-            "results": [
-                greedy_partial_dominating_set(graph, rho).to_dict(graph) for rho in rhos
+            "communities": [
+                {"label": partition.group_label(i), "results": sweep(induced_subgraph(graph, partition.members(i)))}
+                for i in range(partition.group_count)
             ]
         }
+    else:
+        payload = {"results": sweep(graph)}
     _write_payload(payload, args.out)
     return EXIT_OK
 

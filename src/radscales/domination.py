@@ -3,14 +3,17 @@
 A vertex covers its closed neighborhood (itself plus its neighbors). The
 greedy heuristic repeatedly picks the vertex covering the most yet-uncovered
 vertices (ties to the smallest index) via a lazy max-heap, so it stays
-O((n + m) log n) and fits community-scale graphs.
+O((n + m) log n) and fits community-scale graphs. One run records the
+covered count after each pick, so it answers every smaller target too.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .errors import EmptyGraphError, InvalidRhoError
 from .graph import Graph
@@ -56,20 +59,21 @@ def _coverage_target(rho: float, n: int) -> int:
     return math.ceil(raw)
 
 
-def greedy_partial_dominating_set(graph: Graph, rho: float) -> DominationResult:
-    """Greedy authority set reaching at least ceil(rho * n) vertices.
-
-    Each iteration adds the vertex covering the most yet-uncovered
-    vertices, ties broken by smallest index, stopping as soon as the
-    target is met. Deterministic; for rho1 <= rho2 the rho1 result is a
-    prefix of the rho2 result.
-    """
-    n = graph.n
+def greedy_partial_dominating_sets(
+    adjacency: Sequence[Sequence[int]], rhos: Iterable[float]
+) -> tuple[DominationResult, ...]:
+    """The greedy result for each rho over a graph's ``adjacency`` rows, from
+    one run at the largest target: the picks do not depend on the target but
+    where they stop, so each rho's authorities are the shortest prefix that
+    reaches its target."""
+    n = len(adjacency)
     if n == 0:
         raise EmptyGraphError("domination needs at least one vertex")
-    target = _coverage_target(rho, n)
+    rhos = tuple(rhos)
+    targets = [_coverage_target(rho, n) for rho in rhos]
+    target = max(targets, default=0)
     # Closed neighborhoods are symmetric: the vertices covering u are N[u].
-    lists = [(v, *graph.adjacency[v]) for v in range(n)]
+    lists = [(v, *adjacency[v]) for v in range(n)]
     gain = [len(covered_by_v) for covered_by_v in lists]
     heap = [(-gain[v], v) for v in range(n)]
     heapq.heapify(heap)
@@ -77,6 +81,7 @@ def greedy_partial_dominating_set(graph: Graph, rho: float) -> DominationResult:
     picked = [False] * n
     covered_count = 0
     picks: list[int] = []
+    trail = [0]  # trail[k]: vertices covered by the first k picks
     while covered_count < target:
         while heap:
             negative_gain, v = heapq.heappop(heap)
@@ -98,10 +103,17 @@ def greedy_partial_dominating_set(graph: Graph, rho: float) -> DominationResult:
                 gain[w] -= 1
                 if not picked[w]:
                     heapq.heappush(heap, (-gain[w], w))
-    return DominationResult(
-        authorities=tuple(picks),
-        rho=rho,
-        target_count=target,
-        covered_count=covered_count,
-        graph_size=n,
-    )
+        trail.append(covered_count)
+    sizes = [bisect_left(trail, t) for t in targets]
+    return tuple(DominationResult(tuple(picks[:k]), rho, t, trail[k], n) for rho, t, k in zip(rhos, targets, sizes))
+
+
+def greedy_partial_dominating_set(graph: Graph, rho: float) -> DominationResult:
+    """Greedy authority set reaching at least ceil(rho * n) vertices.
+
+    Each iteration adds the vertex covering the most yet-uncovered
+    vertices, ties broken by smallest index, stopping as soon as the
+    target is met. Deterministic; for rho1 <= rho2 the rho1 result is a
+    prefix of the rho2 result.
+    """
+    return greedy_partial_dominating_sets(graph.adjacency, (rho,))[0]

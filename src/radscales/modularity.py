@@ -12,6 +12,7 @@ same-group vertex pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .errors import EmptyGraphError
 from .graph import Graph, Partition
@@ -54,29 +55,32 @@ def _check_inputs(graph: Graph, partition: Partition) -> None:
         raise ValueError("partition does not cover the graph's vertex set")
 
 
-def _group_sums(graph: Graph, partition: Partition) -> tuple[list[int], list[int]]:
-    """Per-group in-edge counts and degree sums, one pass over edges/vertices."""
-    in_edges = [0] * partition.group_count
-    degree_sums = [0] * partition.group_count
-    group_of = partition.group_of
-    for v in range(graph.n):
-        degree_sums[group_of[v]] += graph.degree(v)
-    for u, v in graph.edges():
-        if group_of[u] == group_of[v]:
-            in_edges[group_of[u]] += 1
-    return in_edges, degree_sums
+def _contributions(
+    group_of: Sequence[int], edges: Iterable[tuple[int, int]], group_count: int, m: int
+) -> tuple[float, list[float]]:
+    """Q and every group's Q_i, from per-group in-edge counts and degree sums
+    taken in one pass over the edges; Q is summed in group order."""
+    in_edges = [0] * group_count
+    degree_sums = [0] * group_count
+    for u, v in edges:
+        gu, gv = group_of[u], group_of[v]
+        degree_sums[gu] += 1
+        degree_sums[gv] += 1
+        if gu == gv:
+            in_edges[gu] += 1
+    qis = [e / m - (d / (2 * m)) ** 2 for e, d in zip(in_edges, degree_sums)]
+    return sum(qis), qis
 
 
-def _contribution(e_i: int, d_i: int, m: int) -> float:
-    return e_i / m - (d_i / (2 * m)) ** 2
+def _relative(qi: float, q: float) -> float | None:
+    return qi / q if abs(q) >= ZERO_Q_THRESHOLD else None
 
 
 def modularity(graph: Graph, partition: Partition) -> float:
     """Modularity of the partition: edge concentration inside groups
     versus the degree-preserving random expectation."""
     _check_inputs(graph, partition)
-    in_edges, degree_sums, m = *_group_sums(graph, partition), graph.m
-    return sum(_contribution(e, d, m) for e, d in zip(in_edges, degree_sums))
+    return _contributions(partition.group_of, graph.edges(), partition.group_count, graph.m)[0]
 
 
 def d_modularity_report(graph: Graph, partition: Partition) -> ModularityReport:
@@ -86,17 +90,9 @@ def d_modularity_report(graph: Graph, partition: Partition) -> ModularityReport:
     sum to Q exactly (same summation order as modularity()).
     """
     _check_inputs(graph, partition)
-    in_edges, degree_sums, m = *_group_sums(graph, partition), graph.m
-    qis = [_contribution(e, d, m) for e, d in zip(in_edges, degree_sums)]
-    q = sum(qis)
-    defined = abs(q) >= ZERO_Q_THRESHOLD
+    q, qis = _contributions(partition.group_of, graph.edges(), partition.group_count, graph.m)
     per_group = tuple(
-        GroupModularity(
-            group_index=i,
-            label=partition.group_label(i),
-            qi=qi,
-            di=qi / q if defined else None,
-        )
+        GroupModularity(group_index=i, label=partition.group_label(i), qi=qi, di=_relative(qi, q))
         for i, qi in enumerate(qis)
     )
     return ModularityReport(q=q, per_group=per_group)

@@ -3,9 +3,10 @@ structural and speech scales per community, frontier selection, plot data.
 
 Communities are detected once (or loaded) and carried across windows as a
 user -> community-label membership map; users absent from the map are
-excluded from a window's analysis. The cohesion axis is computed on the
-whole window graph, while domination runs inside each community's induced
-subgraph.
+excluded from a window's analysis. A window's graph is built on the event
+log's interned user ids. The cohesion axis is computed on the whole window
+graph; domination runs on each community's own edges, one greedy run per
+community for every rho.
 """
 
 from __future__ import annotations
@@ -16,16 +17,17 @@ import logging
 import re
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
-from .community import DetectionConfig, DetectionResult, detect, filter_by_size, resolution_size_threshold
-from .domination import greedy_partial_dominating_set
-from .errors import ConfigError, DuplicateAssignmentError, EmptyCorpusError
+from .community import DetectionConfig, DetectionResult, detect, resolution_size_threshold
+from .domination import greedy_partial_dominating_sets
+from .errors import ConfigError, DuplicateAssignmentError, EmptyCorpusError, EmptyGraphError, NoEventsError
 from .events import EVENT_KINDS, EventLog, WindowSpec, build_interaction_graph, ingest_events, slice_window
-from .graph import Graph, Partition, induced_subgraph, read_pairs
+from .graph import Graph, Partition, read_pairs
 from .lexicon import FoundationMap, FoundationScores, Lexicon, load_foundation_map, parse_mfd_dic, score_corpus
-from .modularity import d_modularity_report
+from .modularity import _contributions, _relative
 from .pareto import CriterionSpec, Direction, ParetoPoint, pareto_frontier
 
 logger = logging.getLogger(__name__)
@@ -277,52 +279,71 @@ def detect_membership(
     return membership_from_partition(graph, result.partition), result
 
 
-def _window_partition(graph: Graph, membership: Mapping[str, str]) -> Partition:
-    """Partition of *graph* by membership label, groups ordered by label."""
-    labels_present = sorted({membership[lbl] for lbl in graph.labels})
-    index = {lbl: i for i, lbl in enumerate(labels_present)}
-    return Partition(
-        group_of=tuple(index[membership[lbl]] for lbl in graph.labels),
-        group_count=len(labels_present),
-        group_labels=tuple(labels_present),
-    )
+def _window_graph(
+    events: EventLog, window: WindowSpec, kinds: Sequence[str], user_groups: Sequence[int]
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """The group code of each vertex and the edges of the graph that
+    build_interaction_graph(..., known=membership) gives a window, on interned ids."""
+    sources, targets, kind_of = events.sources, events.targets, events.kinds
+    matching = [kind in kinds for kind in EVENT_KINDS]
+    in_window = slice_window(events, window).rows
+    pairs = [(sources[r], targets[r]) for r in in_window if sources[r] >= 0 and targets[r] >= 0 and matching[kind_of[r]]]
+    links = {(s, t) if s < t else (t, s) for s, t in pairs if s != t}
+    if not links:
+        cause = "all matching interactions are self-loops" if pairs else "no interaction events match the requested kinds"
+        raise NoEventsError(f"window {window.label}: {cause}")
+    users = [u for u in dict.fromkeys(chain.from_iterable(pairs)) if user_groups[u] >= 0]  # first seen
+    vertex = {u: v for v, u in enumerate(users)}
+    return [user_groups[u] for u in users], [(vertex[s], vertex[t]) for s, t in links if s in vertex and t in vertex]
 
 
 def _structural_window_report(
     events: EventLog,
     window: WindowSpec,
-    membership: Mapping[str, str],
+    user_groups: Sequence[int],
+    group_labels: Sequence[str],
     config: AnalysisConfig,
     seed: int | None,
 ) -> StructuralReport:
-    graph = build_interaction_graph(slice_window(events, window), config.kinds, known=membership)
+    codes, edges = _window_graph(events, window, config.kinds, user_groups)
+    # A vertex's index in its group's subgraph, which keeps window order.
+    sizes = dict.fromkeys(sorted(set(codes)), 0)
+    position = []
+    for code in codes:
+        position.append(sizes[code])
+        sizes[code] += 1
+
     min_size = config.min_community_size
-    resolved_min = resolution_size_threshold(graph.m) if min_size == AUTO else int(min_size)
-    partition = _window_partition(graph, membership)
-    filtered, kept = filter_by_size(partition, resolved_min)
+    resolved_min = resolution_size_threshold(len(edges)) if min_size == AUTO else int(min_size)
+    kept = [code for code, size in sizes.items() if size >= resolved_min]
     if not kept:
         logger.warning(
             "window %s: none of its %d groups reaches the minimum community size "
             "%d (%s); all fold into 'other'",
             window.label,
-            partition.group_count,
+            len(sizes),
             resolved_min,
             "auto: ceil(sqrt(2m))" if min_size == AUTO else "configured",
         )
-    kept_labels = [partition.group_label(i) for i in kept]
+    elif not edges:
+        raise EmptyGraphError(f"window {window.label}: no edge between two users with a membership")
 
-    # Kept groups hold indices 0..len(kept)-1 of the filtered partition.
-    per_group = d_modularity_report(graph, filtered).per_group if kept else ()
-    sizes = filtered.sizes()
+    # Groups in label order, the folded ones last as 'other', as filter_by_size has them.
+    slot = {code: i for i, code in enumerate(kept)}
+    group_of = [slot.get(code, len(kept)) for code in codes]
+    residual = len(kept) < len(sizes)
+    q, qis = _contributions(group_of, edges, len(kept) + residual, len(edges)) if kept else (0.0, [])
+    adjacency = {code: [[] for _ in range(sizes[code])] for code in kept}
+    for a, b in edges:
+        if codes[a] == codes[b] and codes[a] in adjacency:
+            adjacency[codes[a]][position[a]].append(position[b])
+            adjacency[codes[a]][position[b]].append(position[a])
     rows: list[tuple[str, int, float | None, dict[float, int]]] = []
     points: list[ParetoPoint] = []
-    for new_index, label in enumerate(kept_labels):
-        sub = induced_subgraph(graph, filtered.members(new_index))
-        pds_sizes = {
-            rho: greedy_partial_dominating_set(sub, rho).size for rho in config.rhos
-        }
-        di = per_group[new_index].di
-        rows.append((label, sizes[new_index], di, pds_sizes))
+    for code, qi in zip(kept, qis):
+        label, di = group_labels[code], _relative(qi, q)
+        authorities = {r.rho: r.size for r in greedy_partial_dominating_sets(adjacency[code], config.rhos)}
+        rows.append((label, sizes[code], di, authorities))
         if di is None:
             logger.warning(
                 "window %s: community %s has undefined relative modularity; "
@@ -331,7 +352,7 @@ def _structural_window_report(
                 label,
             )
         else:
-            points.append(ParetoPoint(label=label, values=(di, float(pds_sizes[config.primary_rho]))))
+            points.append(ParetoPoint(label=label, values=(di, float(authorities[config.primary_rho]))))
 
     criteria = (
         CriterionSpec("dModularity", Direction.HIGHER_IS_MORE_RADICAL),
@@ -360,7 +381,7 @@ def _structural_window_report(
             "kinds": list(config.kinds),
             "seed": seed,
         },
-        degenerate=len(kept_labels) < 2,
+        degenerate=len(kept) < 2,
     )
 
 
@@ -386,8 +407,11 @@ def run_structural_analysis(
     if membership is None:
         membership, result = detect_membership(events, config, detection_window)
         seed = result.seed
+    group_labels = sorted(set(membership.values()))
+    code = {label: i for i, label in enumerate(group_labels)}
+    user_groups = [code[membership[u]] if u in membership else -1 for u in events.users]
     return [
-        _structural_window_report(events, window, membership, config, seed)
+        _structural_window_report(events, window, user_groups, group_labels, config, seed)
         for window in windows
     ]
 

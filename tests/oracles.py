@@ -1,6 +1,7 @@
 """Independent brute-force oracles the optimized implementations are checked
 against. Deliberately naive: these follow the defining formulas directly and
-share no code path with the library."""
+share no code path with the library, except partition_path_window, which
+keeps a replaced composition of the library's public pieces."""
 
 from __future__ import annotations
 
@@ -11,8 +12,12 @@ from datetime import datetime, timezone
 from itertools import combinations
 from typing import Container, Iterable, Mapping, Sequence
 
-from radscales.graph import Graph, Partition
-from radscales.pareto import CriterionSpec, ParetoPoint, dominates
+from radscales.community import filter_by_size, resolution_size_threshold
+from radscales.domination import greedy_partial_dominating_set
+from radscales.errors import NoEventsError
+from radscales.graph import Graph, Partition, induced_subgraph
+from radscales.modularity import d_modularity_report
+from radscales.pareto import CriterionSpec, Direction, ParetoPoint, dominates
 
 
 def pair_sum_modularity(graph: Graph, partition: Partition) -> float:
@@ -202,6 +207,55 @@ def membership_first_graph(
         tuple(j for j, w in enumerate(labels) if frozenset((u, w)) in linked) for u in labels
     )
     return tuple(labels), rows
+
+
+def partition_path_window(
+    interactions: Sequence[tuple[str, str, str]],
+    kinds: Container[str],
+    membership: Mapping[str, str],
+    min_size: int | str,
+    rhos: Sequence[float],
+    primary_rho: float,
+) -> tuple[list[tuple], int | None, list[str]]:
+    """A window's communities as the structural analysis once computed them,
+    with a Graph per window and per community: membership_first_graph, a
+    partition by membership label with its groups sorted by label,
+    filter_by_size, d_modularity_report, then induced_subgraph and a separate
+    greedy run for every rho in each kept community, and the frontier by
+    definition. This composes the library's public pieces on purpose: it is
+    the path the interned-id window code replaced.
+
+    Returns a (label, size, d_i, {rho: authority-set size}, on frontier)
+    tuple per kept community, the group count when every group folds (else
+    None) and the labels whose d_i is undefined. Raises NoEventsError when no
+    matching interaction links two users, and EmptyGraphError when a group
+    is kept but the graph has no edge.
+    """
+    matching = [(s, t) for s, t, kind in interactions if kind in kinds]
+    if all(s == t for s, t in matching):
+        raise NoEventsError("self-loops only" if matching else "no matching interaction")
+    labels, rows = membership_first_graph(interactions, kinds, membership)
+    graph = Graph(labels, rows)
+    resolved = resolution_size_threshold(graph.m) if min_size == "auto" else min_size
+    present = sorted({membership[u] for u in labels})
+    partition = Partition(tuple(present.index(membership[u]) for u in labels), len(present), tuple(present))
+    filtered, kept = filter_by_size(partition, resolved)
+    if not kept:
+        return [], partition.group_count, []
+    per_group = d_modularity_report(graph, filtered).per_group
+    communities = []
+    for i, group in enumerate(per_group[: len(kept)]):
+        sub = induced_subgraph(graph, filtered.members(i))
+        sizes = {rho: greedy_partial_dominating_set(sub, rho).size for rho in rhos}
+        communities.append((group.label, sub.n, group.di, sizes))
+    points = [ParetoPoint(label, (di, float(sizes[primary_rho]))) for label, _, di, sizes in communities if di is not None]
+    criteria = [
+        CriterionSpec("dModularity", Direction.HIGHER_IS_MORE_RADICAL),
+        CriterionSpec("pdsSize", Direction.LOWER_IS_MORE_RADICAL),
+    ]
+    frontier = all_pairs_frontier(points, criteria)
+    undefined = [label for label, _, di, _ in communities if di is None]
+    return [(*community, community[0] in frontier) for community in communities], None, undefined
 
 
 def sorted_induced_rows(graph: Graph, vertices: Iterable[int]) -> tuple[tuple[int, ...], ...]:

@@ -12,10 +12,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import radscales
+from radscales import Graph, PlantedPartitionParams, load_edge_list, planted_partition
 from radscales.cli import main, parse_window
+from radscales.graph import write_edge_list
 from radscales.events import EVENT_KINDS, parse_timestamp
 from radscales.pipeline import RUN_KEYS
 
+from .oracles import closed_coverage, greedy_pick_order, sorted_induced_rows
 from .streams import TEST_DIC, write_run_dir, write_stream
 
 
@@ -100,6 +103,53 @@ def test_dominate_per_community(tmp_path, capsys):
     assert [c["label"] for c in payload["communities"]] == ["black", "red", "blue"]
     for community in payload["communities"]:
         assert community["results"][0]["n"] == 4
+
+
+def _oracle_sweep(graph, rhos) -> list[dict]:
+    """What dominate prints for *graph*: the greedy picks by definition, per rho."""
+    results = []
+    for rho in rhos:
+        picks = greedy_pick_order(graph, rho)
+        results.append(
+            {
+                "rho": rho,
+                "size": len(picks),
+                "covered": closed_coverage(graph, picks),
+                "n": graph.n,
+                "authorities": [graph.labels[v] for v in picks],
+            }
+        )
+    return results
+
+
+SWEEP = [1.0, 0.3, 0.75, 0.3, 0.5, 0.1 * 3]
+
+
+def test_dominate_sweep_is_the_greedy_prefix_per_rho(tmp_path, capsys):
+    run_cli("fixtures", "--name", "hubs", "--out-dir", tmp_path)
+    planted, _ = planted_partition(PlantedPartitionParams(4, 9, 0.45, 0.06, seed=17))
+    with (tmp_path / "planted_edges.tsv").open("w", encoding="utf-8") as fh:
+        write_edge_list(planted, fh)
+    capsys.readouterr()
+    rho_flags = [arg for rho in SWEEP for arg in ("--rho", repr(rho))]
+    for name in ("hubs", "planted"):
+        edges = tmp_path / f"{name}_edges.tsv"
+        assert run_cli("dominate", "--edges", edges, *rho_flags) == 0
+        with edges.open(encoding="utf-8") as fh:
+            graph = load_edge_list(fh)
+        assert json.loads(capsys.readouterr().out) == {"results": _oracle_sweep(graph, SWEEP)}
+
+    # per community, on the planted graph as its edge list has it
+    groups = {label: f"g{int(label[1:]) // 9}" for label in graph.labels}
+    partition = tmp_path / "planted_partition.tsv"
+    partition.write_text("".join(f"{u}\t{g}\n" for u, g in groups.items()), encoding="utf-8")
+    assert run_cli("dominate", "--edges", edges, "--partition", partition, *rho_flags) == 0
+    expected = []
+    for group in dict.fromkeys(groups.values()):
+        members = [v for v, label in enumerate(graph.labels) if groups[label] == group]
+        sub = Graph(tuple(graph.labels[v] for v in members), sorted_induced_rows(graph, members))
+        expected.append({"label": group, "results": _oracle_sweep(sub, SWEEP)})
+    assert json.loads(capsys.readouterr().out) == {"communities": expected}
 
 
 def test_detect_on_edge_list(tmp_path, capsys):
@@ -477,6 +527,46 @@ def test_console_script_on_path():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == _version_line()
+
+
+def _three_record_run_dir(base: Path, *windows: str) -> Path:
+    """Window w1 holds a->x and b->y, w2 holds a->b, w3 holds nothing; only a
+    and b have a membership."""
+    base.mkdir(parents=True, exist_ok=True)
+    records = [("a", "x", "2022-01-01"), ("b", "y", "2022-01-02"), ("a", "b", "2022-02-01")]
+    (base / "events.jsonl").write_text(
+        "".join(json.dumps({"source": s, "target": t, "timestamp": d, "kind": "retweet"}) + "\n" for s, t, d in records),
+        encoding="utf-8",
+    )
+    (base / "membership.tsv").write_text("a\tg\nb\th\n", encoding="utf-8")
+    bounds = {"w1": ("2022-01-01", "2022-02-01"), "w2": ("2022-02-01", "2022-03-01"), "w3": ("2022-03-01", "2022-04-01")}
+    config = {
+        "events": "events.jsonl",
+        "membership": "membership.tsv",
+        "windows": [{"label": w, "start": bounds[w][0], "end": bounds[w][1]} for w in windows],
+        "minCommunitySize": 1,
+    }
+    (base / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    return base / "config.json"
+
+
+@pytest.mark.parametrize(
+    "windows, message",
+    [
+        (("w2", "w1"), "window w1: no edge between two users with a membership"),
+        (("w2", "w3"), "window w3: no interaction events match the requested kinds"),
+    ],
+)
+def test_run_window_error_names_the_window(tmp_path, capsys, windows, message):
+    config = _three_record_run_dir(tmp_path, "w2")
+    assert run_cli("run", "--config", config) == 0
+    shutil.rmtree(tmp_path / "out")
+    config = _three_record_run_dir(tmp_path, *windows)
+    assert run_cli("run", "--config", config) == 2
+    err = capsys.readouterr().err
+    assert f"radscales: error: {message}\n" in err
+    assert "Traceback" not in err
+    assert not list((tmp_path / "out").glob("structural*"))
 
 
 def test_run_deterministic_byte_identical(tmp_path):

@@ -2,9 +2,9 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from radscales import build_graph, greedy_partial_dominating_set
+from radscales import build_graph, greedy_partial_dominating_set, greedy_partial_dominating_sets
 from radscales.errors import EmptyGraphError, InvalidRhoError
 
 from .conftest import random_graph
@@ -163,3 +163,31 @@ def test_coverage_contract_and_determinism(graph, rho):
     assert first.covered_count == closed_coverage(graph, first.authorities)
     assert first.covered_count >= first.target_count
     assert first.target_count == math.ceil(rho * graph.n - 1e-9)
+
+
+sweep_rhos = st.lists(
+    st.one_of(st.sampled_from([0.3, 0.1 * 3, 0.5, 0.75, 1.0]), st.floats(0.01, 1.0)), min_size=1, max_size=5
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), sweep_rhos)
+@example(edgeless(10), [1.0, 0.1 * 3, 0.3, 0.3, 0.5])  # (0.1 * 3) * 10 snaps to 3
+@example(edgeless(1), [0.5, 1.0, 0.5])
+@example(star(9), [0.75, 0.1 * 3, 0.2])
+def test_one_run_sizes_equal_separate_runs(graph, rhos):
+    results = greedy_partial_dominating_sets(graph.adjacency, rhos)
+    assert [r.rho for r in results] == rhos
+    for result in results:
+        alone = greedy_partial_dominating_set(graph, result.rho)
+        assert result == alone
+        assert result.authorities == greedy_pick_order(graph, result.rho)
+        assert result.covered_count == closed_coverage(graph, result.authorities)
+
+
+@pytest.mark.parametrize("rho, n, target", [(0.1 * 3, 10, 3), (0.28, 25, 7)])
+def test_one_run_sizes_snap_the_target(rho, n, target):
+    assert rho * n > target
+    small, large = greedy_partial_dominating_sets(edgeless(n).adjacency, [rho, 1.0])
+    assert (small.target_count, small.size, small.covered_count) == (target, target, target)
+    assert large.authorities[:target] == small.authorities

@@ -6,7 +6,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from radscales import (
     AnalysisConfig,
@@ -21,13 +21,13 @@ from radscales import (
     run_structural_analysis,
 )
 from radscales.cli import main as cli_main
-from radscales.errors import ConfigError, DuplicateAssignmentError, NoEventsError
+from radscales.errors import ConfigError, DuplicateAssignmentError, EmptyGraphError, NoEventsError
 from radscales.events import EVENT_KINDS, Event, EventLog, build_interaction_graph
 from radscales.graph import induced_subgraph
 from radscales.pareto import CriterionSpec, Direction, ParetoPoint, pareto_frontier
 from radscales.pipeline import RUN_KEYS, RunConfig, detect_membership, emit_plot_data, run
 
-from .oracles import membership_first_graph
+from .oracles import membership_first_graph, partition_path_window
 from .streams import TEST_DIC, write_run_dir, write_stream
 
 
@@ -314,6 +314,63 @@ def test_window_graph_equals_membership_first_oracle(interactions, known, kinds)
     # the same graph as inducing the raw window graph on its known users
     raw = build_interaction_graph(log, kinds)
     assert graph == induced_subgraph(raw, [v for v, u in enumerate(raw.labels) if u in membership])
+
+
+stream_users = st.sampled_from([f"u{i}" for i in range(8)])
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.lists(st.tuples(stream_users, stream_users, st.sampled_from(EVENT_KINDS), st.booleans()), min_size=4, max_size=40),
+    st.dictionaries(stream_users, st.sampled_from(["a", "b", "c", "other"])),
+    st.sets(st.sampled_from(EVENT_KINDS), min_size=1),
+    st.sampled_from([1, 2, 3, "auto"]),
+    st.lists(st.sampled_from([0.3, 0.5, 0.75, 1.0]), min_size=1, max_size=4),
+)
+@example(  # a kept group named other beside the residual 'other', a self-loop, an unknown user, a reply
+    [("u0", "u1", "retweet", True), ("u1", "u2", "retweet", True), ("u3", "u4", "retweet", True),
+     ("u4", "u5", "retweet", True), ("u6", "u0", "retweet", True), ("u6", "u6", "retweet", True),
+     ("u7", "u3", "retweet", True), ("u2", "u5", "reply", True), ("u0", "u3", "retweet", False)],
+    {"u0": "other", "u1": "other", "u2": "other", "u3": "a", "u4": "a", "u5": "a", "u6": "c"},
+    {"retweet"}, 2, [0.5, 1.0, 0.5],
+)
+@example(  # one group holds every vertex: Q = 0, so its d_i is undefined
+    [("u0", "u1", "retweet", True), ("u1", "u2", "retweet", True), ("u2", "u3", "mention", True)],
+    {"u0": "a", "u1": "a", "u2": "a", "u3": "a"}, {"retweet", "mention"}, 1, [0.75],
+)
+def test_window_report_equals_the_partition_path(caplog, records, membership, kinds, min_size, rhos):
+    inside = [(s, t, k) for s, t, k, in_window in records if in_window]
+    lines = [json.dumps({"author": "u0", "text": "ordem", "timestamp": "2022-09-20T00:00:00Z", "kind": "other"})]
+    lines += [
+        json.dumps({"source": s, "target": t, "kind": k, "timestamp": "2022-09-20T00:00:00Z" if in_window else "2022-10-01"})
+        for s, t, k, in_window in records
+    ]
+    log = ingest_events(lines)
+    window = WindowSpec("w", parse_timestamp("2022-09-19"), parse_timestamp("2022-09-21"))
+    config = AnalysisConfig(rhos=tuple(rhos), primary_rho=rhos[0], min_community_size=min_size, kinds=tuple(kinds))
+    caplog.clear()
+    try:
+        expected, folded_groups, undefined = partition_path_window(inside, kinds, membership, min_size, rhos, rhos[0])
+    except (NoEventsError, EmptyGraphError) as exc:
+        with pytest.raises(type(exc), match="^window w: "):
+            run_structural_analysis(log, [window], config=config, membership=membership)
+        return
+    with caplog.at_level(logging.WARNING, logger="radscales.pipeline"):
+        (report,) = run_structural_analysis(log, [window], config=config, membership=membership)
+    got = [(c.label, c.size, c.d_modularity, c.pds_sizes, c.on_frontier) for c in report.communities]
+    assert got == expected
+    assert report.frontier == tuple(sorted(c[0] for c in expected if c[4]))
+    assert report.degenerate == (len(expected) < 2)
+    messages = [r.getMessage() for r in caplog.records]
+    folds = [m for m in messages if "fold into 'other'" in m]
+    if folded_groups is None:
+        assert folds == []
+    else:
+        assert len(folds) == 1 and folds[0].startswith(f"window w: none of its {folded_groups} groups")
+    assert [m for m in messages if "undefined relative modularity" in m] == [
+        f"window w: community {label} has undefined relative modularity; excluded from the frontier"
+        for label in undefined
+    ]
 
 
 def test_min_community_size_is_an_int_or_auto():
