@@ -13,7 +13,7 @@ from .community import (
     filter_by_size,
     resolution_size_threshold,
 )
-from .domination import DominationResult, greedy_partial_dominating_set, greedy_partial_dominating_sets
+from .domination import DominationResult, greedy_partial_dominating_set
 from .errors import RadscalesError
 from .events import (
     Event,
@@ -92,7 +92,6 @@ __all__ = [
     "emit_plot_data",
     "filter_by_size",
     "greedy_partial_dominating_set",
-    "greedy_partial_dominating_sets",
     "hub_hierarchy_graph",
     "induced_subgraph",
     "ingest_events",

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import __version__
 from .community import DetectionConfig, detect
-from .domination import greedy_partial_dominating_sets
+from .domination import _greedy_sweep
 from .errors import ConfigError, MalformedLineError, RadscalesError
 from .events import EVENT_KINDS, WindowSpec, build_interaction_graph, ingest_events, parse_timestamp, slice_window
 from .graph import induced_subgraph, load_edge_list, load_partition, write_edge_list, write_partition
@@ -135,7 +135,7 @@ def _cmd_dominate(args) -> int:
     rhos = args.rho or DEFAULT_RHOS
 
     def sweep(g) -> list[dict]:  # one greedy run answers every rho
-        return [result.to_dict(g) for result in greedy_partial_dominating_sets(g.adjacency, rhos)]
+        return [result.to_dict(g) for result in _greedy_sweep(g.adjacency, rhos)]
 
     if args.partition:
         with open(args.partition, "r", encoding="utf-8") as fh:

@@ -59,9 +59,7 @@ def _coverage_target(rho: float, n: int) -> int:
     return math.ceil(raw)
 
 
-def greedy_partial_dominating_sets(
-    adjacency: Sequence[Sequence[int]], rhos: Iterable[float]
-) -> tuple[DominationResult, ...]:
+def _greedy_sweep(adjacency: Sequence[Sequence[int]], rhos: Iterable[float]) -> tuple[DominationResult, ...]:
     """The greedy result for each rho over a graph's ``adjacency`` rows, from
     one run at the largest target: the picks do not depend on the target but
     where they stop, so each rho's authorities are the shortest prefix that
@@ -116,4 +114,4 @@ def greedy_partial_dominating_set(graph: Graph, rho: float) -> DominationResult:
     target is met. Deterministic; for rho1 <= rho2 the rho1 result is a
     prefix of the rho2 result.
     """
-    return greedy_partial_dominating_sets(graph.adjacency, (rho,))[0]
+    return _greedy_sweep(graph.adjacency, (rho,))[0]

@@ -18,7 +18,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import IO, Container, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import NoEventsError
 from .graph import Graph, build_graph
@@ -248,26 +248,33 @@ def slice_window(events: EventLog, window: WindowSpec) -> EventLog:
     return view
 
 
-def build_interaction_graph(
-    events: EventLog, kinds: Iterable[str] | None = None, *, known: Container[str] | None = None
-) -> Graph:
-    """Undirected simple graph over the users of matching interaction events.
+def _interaction_pairs(events: EventLog, kinds: Iterable[str] | None = None) -> Iterator[tuple[int, int]]:
+    """(source, target) interned user ids of the matching interaction events, in file order.
 
-    ``kinds`` restricts the interaction kinds (None keeps all), ``known`` the
-    vertices as in ``build_graph(keep=...)``. Raises NoEventsError when no
-    interactions match or all collapse to self-loops, before ``known`` applies.
+    ``kinds`` restricts the interaction kinds (None keeps all). Raises
+    NoEventsError, before yielding, when none match or all are self-loops.
     """
     wanted = set(kinds) if kinds is not None else None
     matching = [wanted is None or kind in wanted for kind in EVENT_KINDS]
-    users, sources, targets = events.users, events.sources, events.targets
+    sources, targets, kind_of = events.sources, events.targets, events.kinds
 
-    def rows() -> Iterator[int]:
+    def pairs() -> Iterator[tuple[int, int]]:
         for r in events.rows:
-            if sources[r] >= 0 and targets[r] >= 0 and matching[events.kinds[r]]:
-                yield r
+            if sources[r] >= 0 and targets[r] >= 0 and matching[kind_of[r]]:
+                yield sources[r], targets[r]
 
-    if all(sources[r] == targets[r] for r in rows()):
-        if next(rows(), None) is None:
+    if all(s == t for s, t in pairs()):
+        if next(pairs(), None) is None:
             raise NoEventsError("no interaction events match the requested kinds")
         raise NoEventsError("all matching interactions are self-loops")
-    return build_graph(((users[sources[r]], users[targets[r]]) for r in rows()), keep=known)
+    return pairs()
+
+
+def build_interaction_graph(events: EventLog, kinds: Iterable[str] | None = None) -> Graph:
+    """Undirected simple graph over the users of matching interaction events.
+
+    ``kinds`` restricts the interaction kinds (None keeps all). Raises
+    NoEventsError when no interactions match or all collapse to self-loops.
+    """
+    users = events.users
+    return build_graph((users[s], users[t]) for s, t in _interaction_pairs(events, kinds))

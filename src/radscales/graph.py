@@ -9,7 +9,7 @@ reads. ``Graph(...)`` checks its input; the builders below skip the checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Container, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateAssignmentError,
@@ -136,20 +136,19 @@ class Partition:
         return tuple(map(len, self._members))
 
 
-def build_graph(edges: Iterable[tuple[str, str]], *, keep: Container[str] | None = None) -> Graph:
+def build_graph(edges: Iterable[tuple[str, str]]) -> Graph:
     """Build a graph from labeled edge pairs.
 
     Labels are interned in first-seen order; self-loops are dropped and
     duplicate pairs (in either orientation) collapse to a single edge.
-    An empty input yields the empty graph. With ``keep``, only labels in it
-    become vertices, isolated when all their partners are dropped.
+    An empty input yields the empty graph.
     """
     index: dict[str, int] = {}
     pairs: set[tuple[int, int]] = set()
     for a, b in edges:
-        ia = index.setdefault(a, len(index)) if keep is None or a in keep else -1
-        ib = index.setdefault(b, len(index)) if keep is None or b in keep else -1
-        if ia != ib and ia >= 0 and ib >= 0:
+        ia = index.setdefault(a, len(index))
+        ib = index.setdefault(b, len(index))
+        if ia != ib:
             pairs.add((ia, ib) if ia < ib else (ib, ia))
     adj: list[list[int]] = [[] for _ in range(len(index))]
     for u, v in pairs:

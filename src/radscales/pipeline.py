@@ -21,10 +21,10 @@ from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
-from .community import DetectionConfig, DetectionResult, detect, resolution_size_threshold
-from .domination import greedy_partial_dominating_sets
+from .community import DetectionConfig, DetectionResult, detect, filter_by_size, resolution_size_threshold
+from .domination import _greedy_sweep
 from .errors import ConfigError, DuplicateAssignmentError, EmptyCorpusError, EmptyGraphError, NoEventsError
-from .events import EVENT_KINDS, EventLog, WindowSpec, build_interaction_graph, ingest_events, slice_window
+from .events import EVENT_KINDS, EventLog, WindowSpec, _interaction_pairs, build_interaction_graph, ingest_events, slice_window
 from .graph import Graph, Partition, read_pairs
 from .lexicon import FoundationMap, FoundationScores, Lexicon, load_foundation_map, parse_mfd_dic, score_corpus
 from .modularity import _contributions, _relative
@@ -282,19 +282,17 @@ def detect_membership(
 def _window_graph(
     events: EventLog, window: WindowSpec, kinds: Sequence[str], user_groups: Sequence[int]
 ) -> tuple[list[int], list[tuple[int, int]]]:
-    """The group code of each vertex and the edges of the graph that
-    build_interaction_graph(..., known=membership) gives a window, on interned ids."""
-    sources, targets, kind_of = events.sources, events.targets, events.kinds
-    matching = [kind in kinds for kind in EVENT_KINDS]
-    in_window = slice_window(events, window).rows
-    pairs = [(sources[r], targets[r]) for r in in_window if sources[r] >= 0 and targets[r] >= 0 and matching[kind_of[r]]]
-    links = {(s, t) if s < t else (t, s) for s, t in pairs if s != t}
-    if not links:
-        cause = "all matching interactions are self-loops" if pairs else "no interaction events match the requested kinds"
-        raise NoEventsError(f"window {window.label}: {cause}")
-    users = [u for u in dict.fromkeys(chain.from_iterable(pairs)) if user_groups[u] >= 0]  # first seen
+    """The group code of each vertex of a window's graph, the users with a code first seen
+    over its matching interactions, and the edges between them as vertex index pairs. A
+    user whose partners are all unknown, or who only interacts with themself, stays isolated."""
+    try:
+        pairs = list(_interaction_pairs(slice_window(events, window), kinds))
+    except NoEventsError as exc:
+        raise NoEventsError(f"window {window.label}: {exc}") from None
+    users = [u for u in dict.fromkeys(chain.from_iterable(pairs)) if user_groups[u] >= 0]
     vertex = {u: v for v, u in enumerate(users)}
-    return [user_groups[u] for u in users], [(vertex[s], vertex[t]) for s, t in links if s in vertex and t in vertex]
+    links = {(s, t) if s < t else (t, s) for s, t in pairs if s != t and s in vertex and t in vertex}
+    return [user_groups[u] for u in users], [(vertex[s], vertex[t]) for s, t in links]
 
 
 def _structural_window_report(
@@ -306,44 +304,46 @@ def _structural_window_report(
     seed: int | None,
 ) -> StructuralReport:
     codes, edges = _window_graph(events, window, config.kinds, user_groups)
-    # A vertex's index in its group's subgraph, which keeps window order.
-    sizes = dict.fromkeys(sorted(set(codes)), 0)
-    position = []
-    for code in codes:
-        position.append(sizes[code])
-        sizes[code] += 1
-
+    dense = {code: g for g, code in enumerate(sorted(set(codes)))}  # codes rank the labels
+    partition = Partition(tuple(dense[c] for c in codes), len(dense), tuple(group_labels[c] for c in dense))
     min_size = config.min_community_size
     resolved_min = resolution_size_threshold(len(edges)) if min_size == AUTO else int(min_size)
-    kept = [code for code, size in sizes.items() if size >= resolved_min]
+    grouped, kept = filter_by_size(partition, resolved_min)
     if not kept:
         logger.warning(
             "window %s: none of its %d groups reaches the minimum community size "
             "%d (%s); all fold into 'other'",
             window.label,
-            len(sizes),
+            len(dense),
             resolved_min,
             "auto: ceil(sqrt(2m))" if min_size == AUTO else "configured",
         )
     elif not edges:
         raise EmptyGraphError(f"window {window.label}: no edge between two users with a membership")
 
-    # Groups in label order, the folded ones last as 'other', as filter_by_size has them.
-    slot = {code: i for i, code in enumerate(kept)}
-    group_of = [slot.get(code, len(kept)) for code in codes]
-    residual = len(kept) < len(sizes)
-    q, qis = _contributions(group_of, edges, len(kept) + residual, len(edges)) if kept else (0.0, [])
-    adjacency = {code: [[] for _ in range(sizes[code])] for code in kept}
+    q, qis = _contributions(grouped.group_of, edges, grouped.group_count, len(edges)) if kept else (0.0, [])
+    # Each kept community's adjacency rows, a vertex's index being its rank among its group's members.
+    members = [partition.members(g) for g in kept]
+    position = [0] * len(codes)
+    for group in members:
+        for i, v in enumerate(group):
+            position[v] = i
+    adjacency = [[[] for _ in group] for group in members]
     for a, b in edges:
-        if codes[a] == codes[b] and codes[a] in adjacency:
-            adjacency[codes[a]][position[a]].append(position[b])
-            adjacency[codes[a]][position[b]].append(position[a])
+        g = grouped.group_of[a]
+        if g == grouped.group_of[b] and g < len(kept):
+            adjacency[g][position[a]].append(position[b])
+            adjacency[g][position[b]].append(position[a])
+    labels = grouped.group_labels
+    # Drop the partitions before domination: their vertex-index ints would otherwise
+    # keep memory pools in use under the report's values, raising peak memory.
+    del partition, grouped, members
     rows: list[tuple[str, int, float | None, dict[float, int]]] = []
     points: list[ParetoPoint] = []
-    for code, qi in zip(kept, qis):
-        label, di = group_labels[code], _relative(qi, q)
-        authorities = {r.rho: r.size for r in greedy_partial_dominating_sets(adjacency[code], config.rhos)}
-        rows.append((label, sizes[code], di, authorities))
+    for label, community, qi in zip(labels, adjacency, qis):
+        di = _relative(qi, q)
+        authorities = {r.rho: r.size for r in _greedy_sweep(community, config.rhos)}
+        rows.append((label, len(community), di, authorities))
         if di is None:
             logger.warning(
                 "window %s: community %s has undefined relative modularity; "

@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from radscales import build_graph, greedy_partial_dominating_set, greedy_partial_dominating_sets
+from radscales import build_graph, greedy_partial_dominating_set
+from radscales.domination import _greedy_sweep
 from radscales.errors import EmptyGraphError, InvalidRhoError
 
 from .conftest import random_graph
@@ -176,7 +177,7 @@ sweep_rhos = st.lists(
 @example(edgeless(1), [0.5, 1.0, 0.5])
 @example(star(9), [0.75, 0.1 * 3, 0.2])
 def test_one_run_sizes_equal_separate_runs(graph, rhos):
-    results = greedy_partial_dominating_sets(graph.adjacency, rhos)
+    results = _greedy_sweep(graph.adjacency, rhos)
     assert [r.rho for r in results] == rhos
     for result in results:
         alone = greedy_partial_dominating_set(graph, result.rho)
@@ -188,6 +189,6 @@ def test_one_run_sizes_equal_separate_runs(graph, rhos):
 @pytest.mark.parametrize("rho, n, target", [(0.1 * 3, 10, 3), (0.28, 25, 7)])
 def test_one_run_sizes_snap_the_target(rho, n, target):
     assert rho * n > target
-    small, large = greedy_partial_dominating_sets(edgeless(n).adjacency, [rho, 1.0])
+    small, large = _greedy_sweep(edgeless(n).adjacency, [rho, 1.0])
     assert (small.target_count, small.size, small.covered_count) == (target, target, target)
     assert large.authorities[:target] == small.authorities

@@ -23,9 +23,9 @@ from radscales import (
 from radscales.cli import main as cli_main
 from radscales.errors import ConfigError, DuplicateAssignmentError, EmptyGraphError, NoEventsError
 from radscales.events import EVENT_KINDS, Event, EventLog, build_interaction_graph
-from radscales.graph import induced_subgraph
+from radscales.graph import Graph, induced_subgraph
 from radscales.pareto import CriterionSpec, Direction, ParetoPoint, pareto_frontier
-from radscales.pipeline import RUN_KEYS, RunConfig, detect_membership, emit_plot_data, run
+from radscales.pipeline import RUN_KEYS, RunConfig, _window_graph, detect_membership, emit_plot_data, run
 
 from .oracles import membership_first_graph, partition_path_window
 from .streams import TEST_DIC, write_run_dir, write_stream
@@ -267,6 +267,18 @@ def test_no_fold_warning_when_a_group_is_kept(caplog):
     assert "fold" not in caplog.text
 
 
+def _run_window_graph(log, window, kinds, membership):
+    """Labels and sorted adjacency rows of the graph a run builds for *window*,
+    with each user's interned id as its group code."""
+    user_groups = [i if user in membership else -1 for i, user in enumerate(log.users)]
+    codes, edges = _window_graph(log, window, kinds, user_groups)
+    rows = [[] for _ in codes]
+    for a, b in edges:
+        rows[a].append(b)
+        rows[b].append(a)
+    return tuple(log.users[c] for c in codes), tuple(tuple(sorted(r)) for r in rows)
+
+
 def test_known_users_without_known_partners_stay_isolated():
     pairs = [("a1", "a2"), ("a3", "x"), ("b1", "b2"), ("b3", "b3"), ("a1", "b1"), ("y", "b2")]
     log = ingest_events(
@@ -275,9 +287,9 @@ def test_known_users_without_known_partners_stay_isolated():
     )
     mapping = {"a1": "a", "a2": "a", "a3": "a", "b1": "b", "b2": "b", "b3": "b"}
     window = WindowSpec("all", parse_timestamp("2022-09-19"), parse_timestamp("2022-09-21"))
-    graph = build_interaction_graph(log, ("retweet",), known=mapping)
-    assert graph.labels == ("a1", "a2", "a3", "b1", "b2", "b3")
-    assert (graph.degree(2), graph.degree(5), graph.m) == (0, 0, 3)
+    labels, rows = _run_window_graph(log, window, ("retweet",), mapping)
+    assert labels == ("a1", "a2", "a3", "b1", "b2", "b3")
+    assert (rows[2], rows[5], sum(map(len, rows)) // 2) == ((), (), 3)
     config = AnalysisConfig(min_community_size=1)
     (report,) = run_structural_analysis(log, [window], config=config, membership=mapping)
     by_label = {c.label: c for c in report.communities}
@@ -304,16 +316,17 @@ def test_window_graph_equals_membership_first_oracle(interactions, known, kinds)
         )
     )
     membership = dict.fromkeys(known, "g")
+    window = WindowSpec("w", stamp, parse_timestamp("2022-09-21"))
     matching = [(s, t) for s, t, k in interactions if k in kinds]
     if not matching or all(s == t for s, t in matching):
-        with pytest.raises(NoEventsError):
-            build_interaction_graph(log, kinds, known=membership)
+        with pytest.raises(NoEventsError, match="^window w: "):
+            _run_window_graph(log, window, kinds, membership)
         return
-    graph = build_interaction_graph(log, kinds, known=membership)
-    assert (graph.labels, graph.adjacency) == membership_first_graph(interactions, kinds, known)
+    labels, rows = _run_window_graph(log, window, kinds, membership)
+    assert (labels, rows) == membership_first_graph(interactions, kinds, known)
     # the same graph as inducing the raw window graph on its known users
     raw = build_interaction_graph(log, kinds)
-    assert graph == induced_subgraph(raw, [v for v, u in enumerate(raw.labels) if u in membership])
+    assert Graph(labels, rows) == induced_subgraph(raw, [v for v, u in enumerate(raw.labels) if u in membership])
 
 
 stream_users = st.sampled_from([f"u{i}" for i in range(8)])
