@@ -16,7 +16,6 @@ from .community import (
 from .domination import DominationResult, greedy_partial_dominating_set
 from .errors import RadscalesError
 from .events import (
-    Event,
     EventLog,
     WindowSpec,
     build_interaction_graph,
@@ -28,7 +27,6 @@ from .graph import (
     Graph,
     Partition,
     build_graph,
-    induced_subgraph,
     load_edge_list,
     load_partition,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "DetectionResult",
     "Direction",
     "DominationResult",
-    "Event",
     "EventLog",
     "FoundationMap",
     "FoundationScores",
@@ -93,7 +90,6 @@ __all__ = [
     "filter_by_size",
     "greedy_partial_dominating_set",
     "hub_hierarchy_graph",
-    "induced_subgraph",
     "ingest_events",
     "load_edge_list",
     "load_partition",

@@ -21,11 +21,11 @@ from .community import DetectionConfig, detect
 from .domination import _greedy_sweep
 from .errors import ConfigError, MalformedLineError, RadscalesError
 from .events import EVENT_KINDS, WindowSpec, build_interaction_graph, ingest_events, parse_timestamp, slice_window
-from .graph import induced_subgraph, load_edge_list, load_partition, write_edge_list, write_partition
+from .graph import community_rows, load_edge_list, load_partition, write_edge_list, write_partition
 from .lexicon import load_foundation_map, parse_mfd_dic, score_by_community
 from .modularity import d_modularity_report
 from .pareto import pareto_frontier, read_points
-from .pipeline import AUTO, DEFAULT_RHOS, RunConfig, run, write_json
+from .pipeline import AUTO, DEFAULT_KINDS, DEFAULT_RHOS, RunConfig, run, write_json
 from .synth import PlantedPartitionParams, hub_hierarchy_graph, planted_partition, three_group_graph
 
 EXIT_OK = 0
@@ -50,7 +50,7 @@ def parse_window(arg: str) -> WindowSpec:
     """
     label, sep, rest = arg.partition(":")
     if not sep or not label:
-        raise MalformedLineError(1, f"window {arg!r} is not label:start:end")
+        raise ValueError(f"--window {arg!r} is not label:start:end")
     for pos in (i for i, ch in enumerate(rest) if ch == ":"):
         start, end = rest[:pos], rest[pos + 1 :]
         try:
@@ -58,7 +58,7 @@ def parse_window(arg: str) -> WindowSpec:
         except ValueError:
             continue
         return WindowSpec.from_strings(label, start, end)
-    raise MalformedLineError(1, f"window {arg!r} has no parseable start:end")
+    raise ValueError(f"--window {arg!r} has no parseable start:end")
 
 
 def _auto_or_int(text: str) -> int | str:
@@ -96,15 +96,18 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_detect(args) -> int:
     if args.edges:
+        given = [f"--{flag}" for flag in ("start", "end", "kinds") if getattr(args, flag) is not None]
+        if given:
+            raise ConfigError(f"{', '.join(given)} cannot be used with --edges")
         with open(args.edges, "r", encoding="utf-8") as fh:
             graph = load_edge_list(fh)
     else:
-        if bool(args.start) != bool(args.end):
-            raise ValueError("--start and --end must be given together")
-        log = _load_events(Path(args.events), kinds=args.kinds)
-        if args.start:
+        if (args.start is None) != (args.end is None):
+            raise ConfigError("--start and --end must be given together")
+        log = _load_events(Path(args.events))
+        if args.start is not None:
             log = slice_window(log, WindowSpec.from_strings("detection", args.start, args.end))
-        graph = build_interaction_graph(log, args.kinds)
+        graph = build_interaction_graph(log, args.kinds or DEFAULT_KINDS)
     config = DetectionConfig(
         seed=args.seed, max_passes=args.max_passes, min_gain_epsilon=args.min_gain
     )
@@ -134,20 +137,24 @@ def _cmd_dominate(args) -> int:
         graph = load_edge_list(fh)
     rhos = args.rho or DEFAULT_RHOS
 
-    def sweep(g) -> list[dict]:  # one greedy run answers every rho
-        return [result.to_dict(g) for result in _greedy_sweep(g.adjacency, rhos)]
+    def sweep(adjacency, labels) -> list[dict]:  # one greedy run answers every rho
+        return [result.to_dict(labels) for result in _greedy_sweep(adjacency, rhos)]
 
     if args.partition:
         with open(args.partition, "r", encoding="utf-8") as fh:
             partition = load_partition(fh, graph)
+        rows = community_rows(partition, graph.edges(), partition.group_count)
         payload = {
             "communities": [
-                {"label": partition.group_label(i), "results": sweep(induced_subgraph(graph, partition.members(i)))}
-                for i in range(partition.group_count)
+                {
+                    "label": partition.group_label(i),
+                    "results": sweep(adjacency, [graph.labels[v] for v in partition.members(i)]),
+                }
+                for i, adjacency in enumerate(rows)
             ]
         }
     else:
-        payload = {"results": sweep(graph)}
+        payload = {"results": sweep(graph.adjacency, graph.labels)}
     _write_payload(payload, args.out)
     return EXIT_OK
 
@@ -202,11 +209,7 @@ def _cmd_run(args) -> int:
         "includeShares": args.include_shares,
         "outDir": args.out_dir,
     }
-    try:
-        config = RunConfig.from_json(raw, config_path.parent, overrides)
-    except ConfigError as exc:
-        print(f"radscales: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    config = RunConfig.from_json(raw, config_path.parent, overrides)
     run(config)
     print(f"reports written to {config.out_dir}")
     return EXIT_OK
@@ -325,7 +328,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (RadscalesError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"radscales: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_USAGE if isinstance(exc, ConfigError) else EXIT_DATA
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL

@@ -37,13 +37,14 @@ class DominationResult:
     def size(self) -> int:
         return len(self.authorities)
 
-    def to_dict(self, graph: Graph) -> dict:
+    def to_dict(self, labels: Sequence[str]) -> dict:
+        """The result as JSON, vertex ``v`` named ``labels[v]``."""
         return {
             "rho": self.rho,
             "size": self.size,
             "covered": self.covered_count,
             "n": self.graph_size,
-            "authorities": [graph.labels[v] for v in self.authorities],
+            "authorities": [labels[v] for v in self.authorities],
         }
 
 

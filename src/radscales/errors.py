@@ -95,4 +95,5 @@ class NoEventsError(RadscalesError):
 
 
 class ConfigError(RadscalesError, ValueError):
-    """A run config has an unknown or missing key, a mistyped value or a bad window set."""
+    """A usage error: a run config with an unknown or missing key, a mistyped value or a
+    bad window set, or command-line flags that do not go together."""

@@ -53,23 +53,6 @@ def parse_timestamp(value: str) -> datetime:
         raise ValueError(f"timestamp {value!r} is out of range in UTC") from exc
 
 
-@dataclass(frozen=True)
-class Event:
-    """One record of an EventLog, as its iteration yields it."""
-
-    timestamp: datetime
-    kind: str
-    source: str | None = None
-    target: str | None = None
-    author: str | None = None
-    text: str | None = None
-
-    @property
-    def speaker(self) -> str | None:
-        """Whose corpus a text record belongs to: author first, else source."""
-        return self.author or self.source
-
-
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 
@@ -80,16 +63,16 @@ def _micros(instant: datetime) -> int:
 
 
 class EventLog:
-    """Events as columns in file order, user ids interned.
+    """Events as columns in file order, user ids interned; built by ingest_events.
 
     ``times`` holds UTC microseconds since the epoch, ``kinds`` indices into
     EVENT_KINDS, and ``sources``/``targets``/``authors`` indices into
     ``users`` (-1 when absent). ``rows`` lists the row numbers this log
     covers, in file order: every row for an ingested log, a window's rows
-    for a slice, which shares the columns. Iterating yields Event values.
+    for a slice, which shares the columns.
     """
 
-    def __init__(self, events: Iterable[Event] = (), skipped: int = 0):
+    def __init__(self):
         self.times = array("q")
         self.kinds = bytearray()
         self.sources = array("i")
@@ -97,20 +80,8 @@ class EventLog:
         self.authors = array("i")
         self.texts: list[str | None] = []
         self._user_ids: dict[str, int] = {}
-        self.skipped = skipped
-        for e in events:
-            self._append((_micros(e.timestamp), e.kind, e.source, e.target, e.author, e.text))
+        self.skipped = 0
         self._index()
-
-    def _append(self, fields: tuple) -> None:
-        micros, kind, source, target, author, text = fields
-        ids = self._user_ids
-        self.times.append(micros)
-        self.kinds.append(EVENT_KINDS.index(kind))
-        self.sources.append(-1 if source is None else ids.setdefault(source, len(ids)))
-        self.targets.append(-1 if target is None else ids.setdefault(target, len(ids)))
-        self.authors.append(-1 if author is None else ids.setdefault(author, len(ids)))
-        self.texts.append(text)
 
     def _index(self) -> None:
         """Users by id, the stable time order of all rows and the times in that order."""
@@ -123,23 +94,6 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __iter__(self) -> Iterator[Event]:
-        users = self.users
-        for r in self.rows:
-            source, target, author = self.sources[r], self.targets[r], self.authors[r]
-            yield Event(
-                timestamp=_EPOCH + timedelta(microseconds=self.times[r]),
-                kind=EVENT_KINDS[self.kinds[r]],
-                source=users[source] if source >= 0 else None,
-                target=users[target] if target >= 0 else None,
-                author=users[author] if author >= 0 else None,
-                text=self.texts[r],
-            )
-
-    @property
-    def events(self) -> tuple[Event, ...]:
-        return tuple(self)
 
 
 @dataclass(frozen=True)
@@ -158,9 +112,6 @@ class WindowSpec:
     def from_strings(cls, label: str, start: str, end: str) -> "WindowSpec":
         """Window from a label and two timestamps, each read by parse_timestamp."""
         return cls(label=label, start=parse_timestamp(start), end=parse_timestamp(end))
-
-    def contains(self, instant: datetime) -> bool:
-        return self.start <= instant < self.end
 
 
 def _record_fields(record: dict) -> tuple | None:
@@ -211,6 +162,7 @@ def ingest_events(
     wanted_kinds = set(kinds) if kinds is not None else None
     wanted_words = {w.lower() for w in keywords} if keywords is not None else None
     log = EventLog()
+    ids = log._user_ids
     for raw in stream:
         line = raw.strip()
         if not line:
@@ -224,12 +176,17 @@ def ingest_events(
         if fields is None:
             log.skipped += 1
             continue
-        if wanted_kinds is not None and fields[1] not in wanted_kinds:
+        micros, kind, source, target, author, text = fields
+        if wanted_kinds is not None and kind not in wanted_kinds:
             continue
-        text = fields[5]
         if wanted_words is not None and not (text and wanted_words & set(tokenize(text))):
             continue
-        log._append(fields)
+        log.times.append(micros)
+        log.kinds.append(EVENT_KINDS.index(kind))
+        log.sources.append(-1 if source is None else ids.setdefault(source, len(ids)))
+        log.targets.append(-1 if target is None else ids.setdefault(target, len(ids)))
+        log.authors.append(-1 if author is None else ids.setdefault(author, len(ids)))
+        log.texts.append(text)
     if not log.times:
         raise NoEventsError("no valid event records after filtering")
     log._index()

@@ -207,21 +207,27 @@ def load_partition(stream: IO[str] | Iterable[str], graph: Graph) -> Partition:
     )
 
 
-def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph on the given vertex indices, relabeled densely.
+def community_rows(partition: Partition, edges: Iterable[tuple[int, int]], count: int) -> list[list[list[int]]]:
+    """Adjacency rows of each of the first *count* groups of *partition* over its own edges.
 
-    Keeps all edges with both endpoints inside; original labels are
-    preserved. Raises IndexError on out-of-range indices.
+    Vertex ``i`` of group ``g`` is ``partition.members(g)[i]``, its rank among
+    the group's members. Each of the *edges*, vertex index pairs given once,
+    joins two vertices of one such group or is skipped; rows keep edge order.
     """
-    wanted = sorted(set(vertices))
-    if wanted and not 0 <= wanted[0] <= wanted[-1] < graph.n:
-        raise IndexError(f"vertex indices {wanted[0]}..{wanted[-1]} outside 0..{graph.n - 1}")
-    # remap increases with v, so each filtered row stays sorted.
-    remap = {v: i for i, v in enumerate(wanted)}
-    return Graph._trusted(
-        tuple(graph.labels[v] for v in wanted),
-        tuple(tuple([remap[u] for u in graph.adjacency[v] if u in remap]) for v in wanted),
-    )
+    group_of = partition.group_of
+    position = [0] * len(group_of)
+    rows = []
+    for g in range(count):
+        members = partition.members(g)
+        for i, v in enumerate(members):
+            position[v] = i
+        rows.append([[] for _ in members])
+    for a, b in edges:
+        g = group_of[a]
+        if g == group_of[b] and g < count:
+            rows[g][position[a]].append(position[b])
+            rows[g][position[b]].append(position[a])
+    return rows
 
 
 def write_edge_list(graph: Graph, stream: IO[str]) -> None:

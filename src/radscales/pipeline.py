@@ -25,7 +25,7 @@ from .community import DetectionConfig, DetectionResult, detect, filter_by_size,
 from .domination import _greedy_sweep
 from .errors import ConfigError, DuplicateAssignmentError, EmptyCorpusError, EmptyGraphError, NoEventsError
 from .events import EVENT_KINDS, EventLog, WindowSpec, _interaction_pairs, build_interaction_graph, ingest_events, slice_window
-from .graph import Graph, Partition, read_pairs
+from .graph import Graph, Partition, community_rows, read_pairs
 from .lexicon import FoundationMap, FoundationScores, Lexicon, load_foundation_map, parse_mfd_dic, score_corpus
 from .modularity import _contributions, _relative
 from .pareto import CriterionSpec, Direction, ParetoPoint, pareto_frontier
@@ -322,22 +322,11 @@ def _structural_window_report(
         raise EmptyGraphError(f"window {window.label}: no edge between two users with a membership")
 
     q, qis = _contributions(grouped.group_of, edges, grouped.group_count, len(edges)) if kept else (0.0, [])
-    # Each kept community's adjacency rows, a vertex's index being its rank among its group's members.
-    members = [partition.members(g) for g in kept]
-    position = [0] * len(codes)
-    for group in members:
-        for i, v in enumerate(group):
-            position[v] = i
-    adjacency = [[[] for _ in group] for group in members]
-    for a, b in edges:
-        g = grouped.group_of[a]
-        if g == grouped.group_of[b] and g < len(kept):
-            adjacency[g][position[a]].append(position[b])
-            adjacency[g][position[b]].append(position[a])
+    adjacency = community_rows(grouped, edges, len(kept))
     labels = grouped.group_labels
     # Drop the partitions before domination: their vertex-index ints would otherwise
     # keep memory pools in use under the report's values, raising peak memory.
-    del partition, grouped, members
+    del partition, grouped
     rows: list[tuple[str, int, float | None, dict[float, int]]] = []
     points: list[ParetoPoint] = []
     for label, community, qi in zip(labels, adjacency, qis):

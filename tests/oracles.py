@@ -1,21 +1,22 @@
 """Independent brute-force oracles the optimized implementations are checked
 against. Deliberately naive: these follow the defining formulas directly and
 share no code path with the library, except partition_path_window, which
-keeps a replaced composition of the library's public pieces."""
+keeps a replaced composition of the library's public pieces, and log_rows,
+which reads an EventLog's columns back as one tuple per row."""
 
 from __future__ import annotations
 
 import json
 import math
 import re
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from itertools import combinations
 from typing import Container, Iterable, Mapping, Sequence
 
 from radscales.community import filter_by_size, resolution_size_threshold
 from radscales.domination import greedy_partial_dominating_set
 from radscales.errors import NoEventsError
-from radscales.graph import Graph, Partition, induced_subgraph
+from radscales.graph import Graph, Partition
 from radscales.modularity import d_modularity_report
 from radscales.pareto import CriterionSpec, Direction, ParetoPoint, dominates
 
@@ -220,10 +221,10 @@ def partition_path_window(
     """A window's communities as the structural analysis once computed them,
     with a Graph per window and per community: membership_first_graph, a
     partition by membership label with its groups sorted by label,
-    filter_by_size, d_modularity_report, then induced_subgraph and a separate
-    greedy run for every rho in each kept community, and the frontier by
-    definition. This composes the library's public pieces on purpose: it is
-    the path the interned-id window code replaced.
+    filter_by_size, d_modularity_report, then each kept community's own
+    Graph from sorted_induced_rows with a separate greedy run for every rho,
+    and the frontier by definition. This composes the library's public
+    pieces on purpose: it is the path the interned-id window code replaced.
 
     Returns a (label, size, d_i, {rho: authority-set size}, on frontier)
     tuple per kept community, the group count when every group folds (else
@@ -245,7 +246,8 @@ def partition_path_window(
     per_group = d_modularity_report(graph, filtered).per_group
     communities = []
     for i, group in enumerate(per_group[: len(kept)]):
-        sub = induced_subgraph(graph, filtered.members(i))
+        members = filtered.members(i)
+        sub = Graph(tuple(graph.labels[v] for v in members), sorted_induced_rows(graph, members))
         sizes = {rho: greedy_partial_dominating_set(sub, rho).size for rho in rhos}
         communities.append((group.label, sub.n, group.di, sizes))
     points = [ParetoPoint(label, (di, float(sizes[primary_rho]))) for label, _, di, sizes in communities if di is not None]
@@ -323,3 +325,24 @@ def _naive_event(record) -> tuple | None:
 def naive_slice(events: Iterable[tuple], start: datetime, end: datetime) -> list[tuple]:
     """The events with start <= timestamp < end, by a linear scan in order."""
     return [event for event in events if start <= event[0] < end]
+
+
+def log_rows(log) -> list[tuple]:
+    """One (timestamp, kind, source, target, author, text) tuple per row of an
+    EventLog or window, in its row order, read straight from the columns."""
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+    def user(index: int) -> str | None:
+        return log.users[index] if index >= 0 else None
+
+    return [
+        (
+            epoch + timedelta(microseconds=log.times[r]),
+            ("retweet", "reply", "mention", "other")[log.kinds[r]],
+            user(log.sources[r]),
+            user(log.targets[r]),
+            user(log.authors[r]),
+            log.texts[r],
+        )
+        for r in log.rows
+    ]

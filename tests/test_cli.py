@@ -152,6 +152,24 @@ def test_dominate_sweep_is_the_greedy_prefix_per_rho(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"communities": expected}
 
 
+# sha256 of what dominate writes for a seeded planted graph, taken while each
+# community still went through an induced subgraph.
+DOMINATE_SHA256 = {
+    "per_community.json": "b2d532b14c96c01abba6d02b0a5860de797445f4ada3caa2cd6944652c4a1114",
+    "whole.json": "5e4ba251275e60c56e82093f0b4218a25e116255522a6148d4bfd7163017480c",
+}
+
+
+def test_dominate_matches_golden_hashes(tmp_path):
+    assert run_cli("fixtures", "--name", "planted", "--out-dir", tmp_path, "--groups", "12", "--size", "60",
+                   "--p-in", "0.2", "--p-out", "0.01", "--seed", "5") == 0
+    edges = tmp_path / "planted_edges.tsv"
+    assert run_cli("dominate", "--edges", edges, "--partition", tmp_path / "planted_partition.tsv",
+                   "--rho", "0.3", "--rho", "0.75", "--rho", "1.0", "--out", tmp_path / "per_community.json") == 0
+    assert run_cli("dominate", "--edges", edges, "--rho", "0.5", "--out", tmp_path / "whole.json") == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in DOMINATE_SHA256} == DOMINATE_SHA256
+
+
 def test_detect_on_edge_list(tmp_path, capsys):
     run_cli("fixtures", "--name", "planted", "--out-dir", tmp_path,
             "--groups", "2", "--size", "8", "--p-in", "0.9", "--p-out", "0.05", "--seed", "7")
@@ -489,6 +507,57 @@ def test_detect_on_event_range(tmp_path, capsys):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 90
     assert len({line.split("\t")[1] for line in lines}) == 3
+
+
+def _tsv_map(path: Path) -> dict[str, str]:
+    return dict(line.split("\t") for line in path.read_text(encoding="utf-8").splitlines())
+
+
+def test_detect_on_events_matches_run_membership(tmp_path):
+    config_path = write_run_dir(tmp_path)
+    events = tmp_path / "events.jsonl"
+    # replies make no edge by default, in `run` (kinds ["retweet"]) and in `detect` alike
+    with events.open("a", encoding="utf-8") as fh:
+        for source, target in (("a00", "b00"), ("r1", "r2")):
+            fh.write(json.dumps({"source": source, "target": target, "timestamp": "2022-09-20T00:00:00Z", "kind": "reply"}) + "\n")
+    detection = json.loads(config_path.read_text(encoding="utf-8"))["detectionRange"]
+    detected = tmp_path / "detected.tsv"
+    assert run_cli("detect", "--events", events, "--start", detection["start"], "--end", detection["end"],
+                   "--out", detected) == 0
+    assert run_cli("run", "--config", config_path) == 0
+    assert _tsv_map(detected) == _tsv_map(tmp_path / "out" / "membership.tsv")
+
+
+@pytest.mark.parametrize(
+    "source, flags, message",
+    [
+        ("events", ["--start", "2022-09-19"], "--start and --end must be given together"),
+        ("events", ["--end", "2022-10-31"], "--start and --end must be given together"),
+        ("edges", ["--start", "2022-09-19"], "--start cannot be used with --edges"),
+        ("edges", ["--end", "2022-10-31"], "--end cannot be used with --edges"),
+        ("edges", ["--kinds", "retweet"], "--kinds cannot be used with --edges"),
+    ],
+    ids=["start-alone", "end-alone", "edges-start", "edges-end", "edges-kinds"],
+)
+def test_detect_range_flag_misuse_is_a_usage_error(tmp_path, capsys, source, flags, message):
+    write_stream(tmp_path / "events.jsonl")
+    run_cli("fixtures", "--name", "three-groups", "--out-dir", tmp_path)
+    inputs = {"events": tmp_path / "events.jsonl", "edges": tmp_path / "three-groups_edges.tsv"}
+    capsys.readouterr()
+    out = tmp_path / "partition.tsv"
+    assert run_cli("detect", f"--{source}", inputs[source], *flags, "--out", out) == 1
+    assert f"radscales: error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("window", ["garbage", "w:2022-09-19"])
+def test_malformed_window_flag_names_the_flag(tmp_path, capsys, window):
+    config = write_run_dir(tmp_path)
+    assert run_cli("run", "--config", config, "--window", window) == 2
+    err = capsys.readouterr().err
+    assert f"radscales: error: --window {window!r}" in err
+    assert "line 1" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def _version_line():

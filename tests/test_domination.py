@@ -104,7 +104,7 @@ def test_coverage_index_out_of_range(hub_graph):
 
 
 def test_result_json(hub_graph):
-    payload = greedy_partial_dominating_set(hub_graph, 1.0).to_dict(hub_graph)
+    payload = greedy_partial_dominating_set(hub_graph, 1.0).to_dict(hub_graph.labels)
     assert payload["rho"] == 1.0
     assert payload["size"] == 3
     assert payload["covered"] == 15
@@ -184,6 +184,16 @@ def test_one_run_sizes_equal_separate_runs(graph, rhos):
         assert result == alone
         assert result.authorities == greedy_pick_order(graph, result.rho)
         assert result.covered_count == closed_coverage(graph, result.authorities)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(2, 30), st.floats(0.05, 0.6), sweep_rhos)
+def test_sweep_ignores_the_order_within_rows(rng, n, p, rhos):
+    # Community rows are built in edge order, not sorted: the lazy heap's pick
+    # (largest current gain, smallest index) must not depend on that order.
+    graph = random_graph(rng, n, p)
+    shuffled = [rng.sample(row, len(row)) for row in graph.adjacency]
+    assert _greedy_sweep(shuffled, rhos) == _greedy_sweep(graph.adjacency, rhos)
 
 
 @pytest.mark.parametrize("rho, n, target", [(0.1 * 3, 10, 3), (0.28, 25, 7)])

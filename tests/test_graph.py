@@ -7,7 +7,6 @@ from radscales import (
     Graph,
     Partition,
     build_graph,
-    induced_subgraph,
     load_edge_list,
     load_partition,
     read_membership,
@@ -18,7 +17,7 @@ from radscales.errors import (
     MissingVertexError,
     UnknownVertexError,
 )
-from radscales.graph import read_pairs
+from radscales.graph import community_rows, read_pairs
 
 from .oracles import sorted_induced_rows
 
@@ -125,33 +124,6 @@ def test_load_partition_duplicate():
         load_partition(io.StringIO("a\tg1\nb\tg1\na\tg2\n"), g)
 
 
-def test_induced_subgraph_clique(demo_graph):
-    g, p = demo_graph
-    black = [v for v in range(g.n) if p.group_of[v] == 0]
-    sub = induced_subgraph(g, black)
-    assert sub.n == 4
-    assert sub.m == 6
-    assert set(sub.labels) == {"b1", "b2", "b3", "b4"}
-
-
-def test_induced_subgraph_empty_and_identity(demo_graph):
-    g, _ = demo_graph
-    empty = induced_subgraph(g, [])
-    assert empty.n == 0 and empty.m == 0
-    full = induced_subgraph(g, range(g.n))
-    assert full.n == g.n
-    assert full.m == g.m
-    assert sorted(full.degree(v) for v in range(full.n)) == sorted(
-        g.degree(v) for v in range(g.n)
-    )
-
-
-def test_induced_subgraph_out_of_range(demo_graph):
-    g, _ = demo_graph
-    with pytest.raises(IndexError):
-        induced_subgraph(g, [0, 99])
-
-
 edge_lists = st.lists(
     st.tuples(st.integers(0, 9), st.integers(0, 9)).map(
         lambda t: (f"v{t[0]}", f"v{t[1]}")
@@ -243,14 +215,18 @@ def test_members_equal_a_full_scan(partition):
         partition.members(partition.group_count)
 
 
-@given(edge_lists, st.lists(st.integers(0, 9), max_size=12))
-def test_induced_subgraph_rows_equal_a_sorting_oracle(edges, picks):
+@given(edge_lists, st.lists(st.integers(0, 3), min_size=10, max_size=10), st.integers(0, 4), st.randoms())
+def test_community_rows_equal_a_sorting_oracle(edges, groups, count, rng):
     g = build_graph(edges)
-    vertices = [v for v in picks if v < g.n]
-    sub = induced_subgraph(g, vertices)
-    assert sub.adjacency == sorted_induced_rows(g, vertices)
-    assert sub.labels == tuple(g.labels[v] for v in sorted(set(vertices)))
+    dense: dict[int, int] = {}
+    partition = Partition(tuple(dense.setdefault(x, len(dense)) for x in groups[: g.n]), len(dense))
+    count = min(count, partition.group_count)
+    # each edge once, in either orientation and any order
+    pairs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in g.edges()]
+    rng.shuffle(pairs)
+    rows = community_rows(partition, pairs, count)
+    assert len(rows) == count
+    for i, group_rows in enumerate(rows):
+        assert tuple(tuple(sorted(row)) for row in group_rows) == sorted_induced_rows(g, partition.members(i))
     # the unchecked builders give graphs the public constructor accepts
-    assert Graph(labels=sub.labels, adjacency=sub.adjacency) == sub
     assert Graph(labels=g.labels, adjacency=g.adjacency).m == g.m
-    assert sub.m == sum(map(len, sub.adjacency)) // 2
