@@ -18,14 +18,16 @@ from typing import Sequence
 
 from . import __version__
 from .community import DetectionConfig, detect
-from .domination import _greedy_sweep
+from .domination import _check_rho, _greedy_sweep
 from .errors import ConfigError, MalformedLineError, RadscalesError
-from .events import EVENT_KINDS, WindowSpec, build_interaction_graph, ingest_events, parse_timestamp, slice_window
+from .events import EVENT_KINDS, WindowSpec, ingest_events, parse_timestamp
 from .graph import community_rows, load_edge_list, load_partition, write_edge_list, write_partition
 from .lexicon import load_foundation_map, parse_mfd_dic, score_by_community
 from .modularity import d_modularity_report
 from .pareto import pareto_frontier, read_points
-from .pipeline import AUTO, DEFAULT_KINDS, DEFAULT_RHOS, RunConfig, run, write_json
+from .pipeline import (
+    AUTO, DEFAULT_KINDS, DEFAULT_RHOS, AnalysisConfig, RunConfig, detect_membership, membership_from_partition, run, write_json
+)
 from .synth import PlantedPartitionParams, hub_hierarchy_graph, planted_partition, three_group_graph
 
 EXIT_OK = 0
@@ -95,31 +97,26 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    detection = DetectionConfig(seed=args.seed, max_passes=args.max_passes, min_gain_epsilon=args.min_gain)
     if args.edges:
         given = [f"--{flag}" for flag in ("start", "end", "kinds") if getattr(args, flag) is not None]
         if given:
             raise ConfigError(f"{', '.join(given)} cannot be used with --edges")
         with open(args.edges, "r", encoding="utf-8") as fh:
             graph = load_edge_list(fh)
+        result = detect(graph, detection)
+        membership = membership_from_partition(graph, result.partition)
     else:
         if (args.start is None) != (args.end is None):
             raise ConfigError("--start and --end must be given together")
-        log = _load_events(Path(args.events))
-        if args.start is not None:
-            log = slice_window(log, WindowSpec.from_strings("detection", args.start, args.end))
-        graph = build_interaction_graph(log, args.kinds or DEFAULT_KINDS)
-    config = DetectionConfig(
-        seed=args.seed, max_passes=args.max_passes, min_gain_epsilon=args.min_gain
-    )
-    result = detect(graph, config)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        write_partition(result.partition, graph.labels, fh)
+        config = AnalysisConfig(kinds=tuple(args.kinds or DEFAULT_KINDS), detection=detection)
+        window = None if args.start is None else WindowSpec.from_strings("detection", args.start, args.end)
+        membership, result = detect_membership(_load_events(Path(args.events)), config, window)
+    with open(args.out, "w", encoding="utf-8") as fh:  # in vertex order
+        fh.writelines(f"{user}\t{label}\n" for user, label in membership.items())
     if args.log:
         write_json(list(result.pass_modularity), Path(args.log))
-    print(
-        f"{result.partition.group_count} communities, "
-        f"Q={result.pass_modularity[-1]:.6f} -> {args.out}"
-    )
+    print(f"{result.partition.group_count} communities, Q={result.pass_modularity[-1]:.6f} -> {args.out}")
     return EXIT_OK
 
 
@@ -133,9 +130,11 @@ def _cmd_dmod(args) -> int:
 
 
 def _cmd_dominate(args) -> int:
+    rhos = args.rho or DEFAULT_RHOS
+    for rho in rhos:
+        _check_rho(rho, "--rho")
     with open(args.edges, "r", encoding="utf-8") as fh:
         graph = load_edge_list(fh)
-    rhos = args.rho or DEFAULT_RHOS
 
     def sweep(adjacency, labels) -> list[dict]:  # one greedy run answers every rho
         return [result.to_dict(labels) for result in _greedy_sweep(adjacency, rhos)]
@@ -253,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="validate and summarize a JSONL event stream")
     p.add_argument("--events", required=True)
-    p.add_argument("--kinds", nargs="+", default=None)
+    p.add_argument("--kinds", nargs="+", choices=EVENT_KINDS, default=None)
     p.add_argument("--keywords", nargs="+", default=None)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_ingest)
@@ -264,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--events")
     p.add_argument("--start")
     p.add_argument("--end")
-    p.add_argument("--kinds", nargs="+", default=None)
+    p.add_argument("--kinds", nargs="+", choices=EVENT_KINDS, default=None)
     p.add_argument("--seed", type=int, default=detection.seed)
     p.add_argument("--max-passes", type=int, default=detection.max_passes)
     p.add_argument("--min-gain", type=float, default=detection.min_gain_epsilon)

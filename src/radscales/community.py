@@ -13,7 +13,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .errors import EmptyGraphError
+from .errors import ConfigError, EmptyGraphError
 from .graph import Graph, Partition
 from .modularity import modularity
 
@@ -26,9 +26,9 @@ class DetectionConfig:
 
     def __post_init__(self):
         if self.max_passes < 1:
-            raise ValueError("max_passes must be >= 1")
-        if self.min_gain_epsilon <= 0:
-            raise ValueError("min_gain_epsilon must be > 0")
+            raise ConfigError(f"maxPasses (max_passes) must be at least 1, got {self.max_passes}")
+        if not self.min_gain_epsilon > 0:
+            raise ConfigError(f"minGainEpsilon (min_gain_epsilon) must be above 0, got {self.min_gain_epsilon}")
 
 
 @dataclass(frozen=True)

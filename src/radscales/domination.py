@@ -48,9 +48,14 @@ class DominationResult:
         }
 
 
-def _coverage_target(rho: float, n: int) -> int:
+def _check_rho(rho: float, name: str = "rho") -> None:
+    """The one rule for a coverage fraction: it lies in (0, 1]."""
     if not 0 < rho <= 1:
-        raise InvalidRhoError(rho)
+        raise InvalidRhoError(rho, name)
+
+
+def _coverage_target(rho: float, n: int) -> int:
+    _check_rho(rho)
     raw = rho * n
     # ceil with a snap so float fuzz like 0.3 * 10 = 3.0000000000000004
     # does not overshoot the intended integer target.

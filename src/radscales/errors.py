@@ -41,14 +41,6 @@ class EmptyGraphError(RadscalesError):
     """The operation needs a graph with at least one edge (or vertex)."""
 
 
-class InvalidRhoError(RadscalesError, ValueError):
-    """The coverage fraction must lie in (0, 1]."""
-
-    def __init__(self, rho: float):
-        self.rho = rho
-        super().__init__(f"coverage fraction must be in (0, 1], got {rho!r}")
-
-
 class MissingDelimiterError(RadscalesError):
     """A dictionary file lacks the %%-delimited category block."""
 
@@ -95,5 +87,13 @@ class NoEventsError(RadscalesError):
 
 
 class ConfigError(RadscalesError, ValueError):
-    """A usage error: a run config with an unknown or missing key, a mistyped value or a
-    bad window set, or command-line flags that do not go together."""
+    """A usage error: a run config with an unknown or missing key, a value that breaks
+    its setting's rule or a bad window set, or command-line flags that do not go together."""
+
+
+class InvalidRhoError(ConfigError):
+    """A coverage fraction outside (0, 1]; *name* is the setting that holds it."""
+
+    def __init__(self, rho: float, name: str = "rho"):
+        self.rho = rho
+        super().__init__(f"{name}: coverage fraction {rho!r} is not in (0, 1]")

@@ -101,8 +101,8 @@ def pareto_frontier(
     return labels
 
 
-def _is_float(value) -> bool:
-    """A JSON number (not a bool) that converts to a float."""
+def _is_number(value: object) -> bool:
+    """A number, not a bool, of finite magnitude, so float() cannot overflow."""
     return not isinstance(value, bool) and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
 
 
@@ -127,7 +127,7 @@ def read_points(payload: object) -> tuple[tuple[CriterionSpec, ...], list[Pareto
     points = []
     for i, p in enumerate(payload["points"]):
         values = p.get("values") if isinstance(p, dict) else None
-        if not (isinstance(values, list) and all(map(_is_float, values)) and isinstance(p.get("label"), str)):
+        if not (isinstance(values, list) and all(map(_is_number, values)) and isinstance(p.get("label"), str)):
             raise SchemaMismatchError(f"point {i}: expected a string label and a list of finite numbers as values")
         points.append(ParetoPoint(label=p["label"], values=tuple(float(v) for v in values)))
     return tuple(criteria), points

@@ -15,54 +15,62 @@ import csv
 import json
 import logging
 import re
-import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
 from .community import DetectionConfig, DetectionResult, detect, filter_by_size, resolution_size_threshold
-from .domination import _greedy_sweep
+from .domination import _check_rho, _greedy_sweep
 from .errors import ConfigError, DuplicateAssignmentError, EmptyCorpusError, EmptyGraphError, NoEventsError
 from .events import EVENT_KINDS, EventLog, WindowSpec, _interaction_pairs, build_interaction_graph, ingest_events, slice_window
 from .graph import Graph, Partition, community_rows, read_pairs
 from .lexicon import FoundationMap, FoundationScores, Lexicon, load_foundation_map, parse_mfd_dic, score_corpus
 from .modularity import _contributions, _relative
-from .pareto import CriterionSpec, Direction, ParetoPoint, pareto_frontier
+from .pareto import CriterionSpec, Direction, ParetoPoint, _is_number, pareto_frontier
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_RHOS = (0.5, 0.75, 1.0)
-DEFAULT_PRIMARY_RHO = 0.75
 DEFAULT_KINDS = ("retweet",)
 # Sentinel for "use the resolution-limit threshold of the window graph".
 AUTO = "auto"
 _RETWEET = EVENT_KINDS.index("retweet")
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Knobs shared by the per-window analyses."""
+    """Knobs shared by the per-window analyses, each checked here (ConfigError).
+
+    A ``primary_rho`` of None takes 0.75 if it is swept, else the middle rho,
+    kept as written.
+    """
 
     rhos: tuple[float, ...] = DEFAULT_RHOS
-    primary_rho: float = DEFAULT_PRIMARY_RHO
+    primary_rho: float | None = None
     min_community_size: int | str = AUTO
     kinds: tuple[str, ...] = DEFAULT_KINDS
     detection: DetectionConfig = field(default_factory=DetectionConfig)
 
     def __post_init__(self):
-        if self.primary_rho not in self.rhos:
-            raise ValueError("primary_rho must be one of the swept rhos")
-        if isinstance(self.min_community_size, str) and self.min_community_size != AUTO:
-            raise ValueError(f"min_community_size must be an int or {AUTO!r}")
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value: object) -> bool:  # finite, so float() cannot overflow
-    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+        if not self.rhos:
+            raise ConfigError("rhos must list at least one coverage fraction")
+        for rho in self.rhos:
+            _check_rho(rho, "rhos")
+        if self.primary_rho is None:
+            object.__setattr__(self, "primary_rho", 0.75 if 0.75 in self.rhos else self.rhos[len(self.rhos) // 2])
+        elif self.primary_rho not in self.rhos:
+            raise ConfigError(f"primaryRho {self.primary_rho} is not among the rhos {list(self.rhos)}")
+        if not (self.min_community_size == AUTO or _is_int(self.min_community_size)):
+            raise ConfigError(
+                f'minCommunitySize (min_community_size) must be "{AUTO}" or an integer, got {self.min_community_size!r}'
+            )
+        if not self.kinds or not all(kind in EVENT_KINDS for kind in self.kinds):
+            raise ConfigError(f"kinds must list event kinds ({', '.join(EVENT_KINDS)}), got {list(self.kinds)}")
 
 
 def _is_path(value: object) -> bool:
@@ -73,33 +81,32 @@ def _has_strings(value: object, *names: str) -> bool:  # exactly the keys *names
     return isinstance(value, dict) and sorted(value) == sorted(names) and all(isinstance(value[n], str) for n in names)
 
 
-_DETECTION = DetectionConfig()
-_REQUIRED = object()
-# Every run config key once: JSON key -> (what a value must be, check of the
-# value, or of each element when the key holds a list, default). A parsed
+# Every run config key once: JSON key -> (what its JSON value must be, check of
+# the value, or of each element when the key holds a list). These check the JSON
+# shape only: AnalysisConfig and DetectionConfig hold the rules and defaults of
+# their settings, and a None check leaves the whole value to them. A parsed
 # --window flag arrives as a WindowSpec.
 RUN_KEYS = {
-    "events": ("a non-empty string", _is_path, False, _REQUIRED),
+    "events": ("a non-empty string", _is_path, False),
     "windows": (
         "a list of {label, start, end} objects of strings",
         lambda v: isinstance(v, WindowSpec) or _has_strings(v, "label", "start", "end"),
         True,
-        _REQUIRED,
     ),
-    "detectionRange": ("a {start, end} object of strings", lambda v: _has_strings(v, "start", "end"), False, None),
-    "membership": ("a non-empty string", _is_path, False, None),
-    "lexicon": ("a non-empty string", _is_path, False, None),
-    "foundationMap": ("a non-empty string", _is_path, False, None),
-    "keywords": ("a list of non-empty strings", _is_path, True, None),
-    "kinds": (f"a list of event kinds ({', '.join(EVENT_KINDS)})", EVENT_KINDS.__contains__, True, DEFAULT_KINDS),
-    "seed": ("an integer", _is_int, False, _DETECTION.seed),
-    "maxPasses": ("an integer", _is_int, False, _DETECTION.max_passes),
-    "minGainEpsilon": ("a finite number", _is_number, False, _DETECTION.min_gain_epsilon),
-    "rhos": ("a list of numbers in (0, 1]", lambda v: _is_number(v) and 0 < v <= 1, True, DEFAULT_RHOS),
-    "primaryRho": ("a finite number", _is_number, False, None),  # None: 0.75 if swept, else the middle rho
-    "minCommunitySize": (f'"{AUTO}" or an integer', lambda v: v == AUTO or _is_int(v), False, AUTO),
-    "includeShares": ("true or false", lambda v: isinstance(v, bool), False, False),
-    "outDir": ("a non-empty string", _is_path, False, "out"),
+    "detectionRange": ("a {start, end} object of strings", lambda v: _has_strings(v, "start", "end"), False),
+    "membership": ("a non-empty string", _is_path, False),
+    "lexicon": ("a non-empty string", _is_path, False),
+    "foundationMap": ("a non-empty string", _is_path, False),
+    "keywords": ("a list of non-empty strings", _is_path, True),
+    "kinds": ("a list of strings", lambda v: isinstance(v, str), True),
+    "seed": ("an integer", _is_int, False),
+    "maxPasses": ("an integer", _is_int, False),
+    "minGainEpsilon": ("a finite number", _is_number, False),
+    "rhos": ("a list of numbers", _is_number, True),
+    "primaryRho": ("a finite number", _is_number, False),
+    "minCommunitySize": (None, None, False),
+    "includeShares": ("true or false", lambda v: isinstance(v, bool), False),
+    "outDir": ("a non-empty string", _is_path, False),
 }
 
 
@@ -143,8 +150,9 @@ class RunConfig:
         """Checked config from a config file's JSON, its paths relative to *base*.
 
         *overrides* (command-line values under the same keys, paths relative to
-        the working directory) win. Raises ConfigError naming the key; window
-        bounds that do not parse raise ValueError.
+        the working directory) win. Only the keys given reach the config
+        objects, so their fields hold the defaults. Raises ConfigError naming
+        the key; window bounds that do not parse raise ValueError.
         """
         if not isinstance(raw, dict):
             raise ConfigError(f"a run config must be a JSON object, got {type(raw).__name__}")
@@ -153,38 +161,36 @@ class RunConfig:
         for key in (*raw, *overrides):
             if key not in RUN_KEYS:
                 raise ConfigError(f"unknown config key {key!r}; known keys: {', '.join(RUN_KEYS)}")
-        for key, (expected, check, is_list, default) in RUN_KEYS.items():
+        for key in ("events", "windows"):
             if key not in values:
-                if default is _REQUIRED:
-                    raise ConfigError(f"{key} is required")
-                values[key] = default
-            elif not (isinstance(values[key], list) and all(map(check, values[key])) if is_list else check(values[key])):
-                raise ConfigError(f"{key} must be {expected}, got {json.dumps(values[key], default=repr)}")
-        rhos, primary = tuple(values["rhos"]), values["primaryRho"]
-        if not rhos:
-            raise ConfigError("rhos must list at least one coverage fraction")
-        if primary is None:
-            primary = DEFAULT_PRIMARY_RHO if DEFAULT_PRIMARY_RHO in rhos else rhos[len(rhos) // 2]
-        elif float(primary) not in rhos:
-            raise ConfigError(f"primaryRho {float(primary)} is not among the rhos {list(rhos)}")
-        else:
-            primary = float(primary)
+                raise ConfigError(f"{key} is required")
+        for key, value in values.items():
+            expected, check, is_list = RUN_KEYS[key]
+            if check and not (isinstance(value, list) and all(map(check, value)) if is_list else check(value)):
+                raise ConfigError(f"{key} must be {expected}, got {json.dumps(value, default=repr)}")
+        if "primaryRho" in values:
+            values["primaryRho"] = float(values["primaryRho"])
 
-        def path(key: str) -> Path | None:  # values are None or non-empty strings
-            return values[key] and (Path() if key in overrides else Path(base)) / values[key]
+        def given(**keys: str) -> dict:  # field -> the value of its key, a list as a tuple, for the keys given
+            return {name: tuple(v) if isinstance(v := values[key], list) else v for name, key in keys.items() if key in values}
 
-        detection = DetectionConfig(values["seed"], values["maxPasses"], float(values["minGainEpsilon"]))
+        def path(key: str) -> Path | None:  # values are absent or non-empty strings
+            return values.get(key) and (Path() if key in overrides else Path(base)) / values[key]
+
         return cls(
             events=path("events"),
             windows=tuple(_window(f"windows[{i}]", w) for i, w in enumerate(values["windows"])),
-            out_dir=path("outDir"),
-            analysis=AnalysisConfig(rhos, primary, values["minCommunitySize"], tuple(values["kinds"]), detection),
-            detection_range=values["detectionRange"] and _window("detectionRange", values["detectionRange"], "detection"),
+            out_dir=path("outDir") or Path(base) / "out",
+            analysis=AnalysisConfig(
+                detection=DetectionConfig(**given(seed="seed", max_passes="maxPasses", min_gain_epsilon="minGainEpsilon")),
+                **given(rhos="rhos", primary_rho="primaryRho", min_community_size="minCommunitySize", kinds="kinds"),
+            ),
+            detection_range=values.get("detectionRange") and _window("detectionRange", values["detectionRange"], "detection"),
             membership=path("membership"),
             lexicon=path("lexicon"),
             foundation_map=path("foundationMap"),
-            keywords=tuple(values["keywords"] or ()) or None,
-            include_shares=values["includeShares"],
+            keywords=tuple(values.get("keywords", ())) or None,
+            **given(include_shares="includeShares"),
         )
 
 
@@ -268,12 +274,11 @@ def membership_from_partition(graph: Graph, partition: Partition) -> dict[str, s
 
 
 def detect_membership(
-    events: EventLog,
-    config: AnalysisConfig,
-    detection_window: WindowSpec | None = None,
+    events: EventLog, config: AnalysisConfig, window: WindowSpec | None = None
 ) -> tuple[dict[str, str], DetectionResult]:
-    """One detection run over the (optionally sliced) event range."""
-    scoped = slice_window(events, detection_window) if detection_window else events
+    """One detection run over the interactions of ``config.kinds`` in *window*
+    (all events when None): the one path into detection from an event log."""
+    scoped = slice_window(events, window) if window else events
     graph = build_interaction_graph(scoped, config.kinds)
     result = detect(graph, config.detection)
     return membership_from_partition(graph, result.partition), result
@@ -296,12 +301,7 @@ def _window_graph(
 
 
 def _structural_window_report(
-    events: EventLog,
-    window: WindowSpec,
-    user_groups: Sequence[int],
-    group_labels: Sequence[str],
-    config: AnalysisConfig,
-    seed: int | None,
+    events: EventLog, window: WindowSpec, user_groups: Sequence[int], group_labels: Sequence[str], config: AnalysisConfig
 ) -> StructuralReport:
     codes, edges = _window_graph(events, window, config.kinds, user_groups)
     dense = {code: g for g, code in enumerate(sorted(set(codes)))}  # codes rank the labels
@@ -368,41 +368,28 @@ def _structural_window_report(
             "minCommunitySize": min_size,
             "resolvedMinSize": resolved_min,
             "kinds": list(config.kinds),
-            "seed": seed,
+            # Not the detection seed: see "seed": null in ROADMAP.md, carried over.
+            "seed": None,
         },
         degenerate=len(kept) < 2,
     )
 
 
 def run_structural_analysis(
-    events: EventLog,
-    windows: Sequence[WindowSpec],
-    *,
-    config: AnalysisConfig | None = None,
-    membership: Mapping[str, str] | None = None,
-    detection_window: WindowSpec | None = None,
+    events: EventLog, windows: Sequence[WindowSpec], membership: Mapping[str, str], config: AnalysisConfig
 ) -> list[StructuralReport]:
-    """One StructuralReport per window.
+    """One StructuralReport per window of users with a *membership*.
 
-    Membership comes from an explicit map or from a single detection run
-    over *detection_window* (all events when None). Window graphs are
-    restricted to users with a membership, groups below the size threshold
-    fold into a residual group, and the frontier combines the cohesion
-    scale (higher = more radical) with the authority-set size at the
-    primary rho (smaller = more radical).
+    The membership is a file's or one detect_membership run's. Window graphs
+    are restricted to users with a membership, groups below the size
+    threshold fold into a residual group, and the frontier combines the
+    cohesion scale (higher = more radical) with the authority-set size at
+    the primary rho (smaller = more radical).
     """
-    config = config or AnalysisConfig()
-    seed: int | None = None
-    if membership is None:
-        membership, result = detect_membership(events, config, detection_window)
-        seed = result.seed
     group_labels = sorted(set(membership.values()))
     code = {label: i for i, label in enumerate(group_labels)}
     user_groups = [code[membership[u]] if u in membership else -1 for u in events.users]
-    return [
-        _structural_window_report(events, window, user_groups, group_labels, config, seed)
-        for window in windows
-    ]
+    return [_structural_window_report(events, window, user_groups, group_labels, config) for window in windows]
 
 
 def run_speech_analysis(
@@ -549,7 +536,7 @@ def run(config: RunConfig) -> None:
         for user in sorted(membership):
             fh.write(f"{user}\t{membership[user]}\n")
 
-    structural = run_structural_analysis(events, config.windows, config=config.analysis, membership=membership)
+    structural = run_structural_analysis(events, config.windows, membership, config.analysis)
     write_json([r.to_dict() for r in structural], out_dir / "structural.json")
     for report in structural:
         emit_plot_data(report, out_dir)

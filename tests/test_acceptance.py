@@ -24,7 +24,7 @@ from radscales import (
 )
 from radscales.cli import main as cli_main
 from radscales.pareto import CriterionSpec, Direction, ParetoPoint, pareto_frontier
-from radscales.pipeline import AnalysisConfig
+from radscales.pipeline import AnalysisConfig, detect_membership
 import io
 
 from .conftest import random_graph, random_partition
@@ -185,9 +185,8 @@ def test_criterion_8_planted_radicalization_is_unique_late_optimum(tmp_path):
     detection_window = WindowSpec("det", windows[0].start, windows[2].end)
 
     def analyze():
-        return run_structural_analysis(
-            log, windows, config=config, detection_window=detection_window
-        )
+        membership, _ = detect_membership(log, config, detection_window)
+        return run_structural_analysis(log, windows, membership, config)
 
     reports = analyze()
     for report in reports[-2:]:
@@ -211,8 +210,6 @@ def test_criterion_8_winner_is_the_planted_group(tmp_path):
         log = ingest_events(fh)
     config = AnalysisConfig(min_community_size=10, detection=DetectionConfig(seed=0))
     detection_window = WindowSpec("det", windows[0].start, windows[2].end)
-    from radscales.pipeline import detect_membership
-
     membership, _ = detect_membership(log, config, detection_window)
     reports = run_structural_analysis(log, windows, config=config, membership=membership)
     for report in reports[-2:]:

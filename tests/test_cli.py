@@ -550,6 +550,66 @@ def test_detect_range_flag_misuse_is_a_usage_error(tmp_path, capsys, source, fla
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["ingest", "--kinds", "retweet", "quote"], ["detect", "--kinds", "quote"]],
+    ids=["ingest", "detect"],
+)
+def test_unknown_kinds_flag_is_a_usage_error(tmp_path, capsys, command):
+    write_stream(tmp_path / "events.jsonl")
+    out = tmp_path / "written"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*command, "--events", tmp_path / "events.jsonl", "--out", out)
+    assert exc.value.code == 1
+    assert "--kinds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, key",
+    [(["--max-passes", "0"], "maxPasses"), (["--min-gain", "0"], "minGainEpsilon"), (["--min-gain", "-1"], "minGainEpsilon")],
+    ids=["max-passes-0", "min-gain-0", "min-gain-negative"],
+)
+def test_detect_settings_fail_before_input_is_read(tmp_path, capsys, flags, key):
+    # The inputs do not exist: reading either would be a data error (exit 2).
+    out = tmp_path / "partition.tsv"
+    for source in ("--events", "--edges"):
+        assert run_cli("detect", source, tmp_path / "missing", *flags, "--out", out) == 1
+        assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rho", ["1.5", "0", "-0.5", "nan"])
+def test_dominate_rejects_rho_outside_unit_interval(tmp_path, capsys, rho):
+    run_cli("fixtures", "--name", "hubs", "--out-dir", tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "dominate.json"
+    assert run_cli("dominate", "--edges", tmp_path / "hubs_edges.tsv", "--rho", "0.5", "--rho", rho, "--out", out) == 1
+    assert "radscales: error: --rho: coverage fraction" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# sha256 of what detect writes, taken before detection on an event log went
+# through pipeline.detect_membership.
+DETECT_SHA256 = {
+    "p.tsv": "34165a60080ff25ed8dcf7b1a5da0b54235b41c4843734add4d3497be2642ebd",
+    "l.json": "6c708f8a22e01710a86865bbedd82f809937d6d7640613cdb9e7902eefea7b62",
+    "e.tsv": "0803944bcd9130e52eaaded2d5c9b00ccd90d3cbe2d56c3e636d4bd190314448",
+    "el.json": "88b05d366d1b74d03e7c72807f9ef40bc1ac18c17f78ac963219fbc4fe2cefa5",
+}
+
+
+def test_detect_matches_golden_hashes(tmp_path):
+    write_stream(tmp_path / "events.jsonl")
+    assert run_cli("detect", "--events", tmp_path / "events.jsonl", "--start", "2022-09-19", "--end", "2022-10-31",
+                   "--seed", "0", "--out", tmp_path / "p.tsv", "--log", tmp_path / "l.json") == 0
+    assert run_cli("fixtures", "--name", "planted", "--out-dir", tmp_path, "--groups", "12", "--size", "60",
+                   "--p-in", "0.2", "--p-out", "0.01", "--seed", "5") == 0
+    assert run_cli("detect", "--edges", tmp_path / "planted_edges.tsv", "--seed", "3",
+                   "--out", tmp_path / "e.tsv", "--log", tmp_path / "el.json") == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in DETECT_SHA256} == DETECT_SHA256
+
+
 @pytest.mark.parametrize("window", ["garbage", "w:2022-09-19"])
 def test_malformed_window_flag_names_the_flag(tmp_path, capsys, window):
     config = write_run_dir(tmp_path)
@@ -820,6 +880,10 @@ BAD_CONFIG_EDITS = [
     ("windows", [{"label": "w", "start": "2022-09-19", "end": "2022-10-03", "extra": 1}]),
     ("windows", []),
     ("kinds", ["retweet", "like"]),
+    ("maxPasses", 0),
+    ("minGainEpsilon", 0),
+    ("minGainEpsilon", -1),
+    ("kinds", []),
 ]
 
 

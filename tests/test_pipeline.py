@@ -106,26 +106,6 @@ def test_planted_radical_community_unique_optimum_late(stream, analysis_config, 
         assert all(u.startswith("a") for u in winner_users)
 
 
-def test_detection_window_path_matches_membership_path(stream, analysis_config, membership):
-    log, windows = stream
-    mapping, _ = membership
-    detection_window = WindowSpec("det", windows[0].start, windows[2].end)
-    via_detection = run_structural_analysis(
-        log, windows, config=analysis_config, detection_window=detection_window
-    )
-    via_membership = run_structural_analysis(
-        log, windows, config=analysis_config, membership=mapping
-    )
-    assert [r.frontier for r in via_detection] == [r.frontier for r in via_membership]
-    assert [
-        [(c.label, c.size, c.d_modularity, c.pds_sizes) for c in r.communities]
-        for r in via_detection
-    ] == [
-        [(c.label, c.size, c.d_modularity, c.pds_sizes) for c in r.communities]
-        for r in via_membership
-    ]
-
-
 def test_community_sizes_bounded_by_window_activity(stream, analysis_config, membership):
     log, windows = stream
     mapping, _ = membership
@@ -385,6 +365,40 @@ def test_window_report_equals_the_partition_path(caplog, records, membership, ki
 def test_min_community_size_is_an_int_or_auto():
     with pytest.raises(ValueError, match="min_community_size"):
         AnalysisConfig(min_community_size="big")
+    for size in (1.7, True):
+        with pytest.raises(ConfigError, match="min_community_size"):
+            AnalysisConfig(min_community_size=size)
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"rhos": ()}, "rhos must list at least one coverage fraction"),
+        ({"rhos": (0.5, 1.5)}, "rhos: coverage fraction 1.5"),
+        ({"rhos": (0.5, 1.0), "primary_rho": 0.75}, r"primaryRho 0.75 is not among the rhos \[0.5, 1.0\]"),
+        ({"kinds": ()}, "kinds must list event kinds"),
+        ({"kinds": ("retweet", "quote")}, "kinds must list event kinds"),
+    ],
+)
+def test_analysis_config_checks_its_settings(settings, message):
+    with pytest.raises(ConfigError, match=message):
+        AnalysisConfig(**settings)
+
+
+def test_analysis_config_primary_rho_fallback():
+    assert AnalysisConfig().primary_rho == 0.75
+    assert AnalysisConfig(rhos=(0.5, 1.0)).primary_rho == 1.0
+    assert AnalysisConfig(rhos=(0.2, 0.4, 0.6)).primary_rho == 0.4
+    assert AnalysisConfig(rhos=(0.5, 1.0), primary_rho=0.5).primary_rho == 0.5
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([0.3, 0.5, 0.75, 1.0, 1]), min_size=1, max_size=5))
+def test_library_and_config_file_take_one_primary_rho(rhos):
+    from_library = AnalysisConfig(rhos=tuple(rhos)).primary_rho
+    from_file = RunConfig.from_json(_run_json(rhos=rhos), Path(".")).analysis.primary_rho
+    assert from_library == from_file
+    assert type(from_library) is type(from_file)
 
 
 def test_kept_community_named_other_is_not_the_residual(stream, analysis_config):
@@ -669,6 +683,29 @@ def test_readme_run_keys_match_run_config():
     example = json.loads(re.search(r"```json\n(.*?)```", section, flags=re.DOTALL).group(1))
     assert set(example) <= set(RUN_KEYS)
     RunConfig.from_json(example, Path("."))
+
+
+# Each key's value in effect, as JSON, read from the config that from_json builds.
+EFFECTIVE_VALUES = {
+    "kinds": lambda c: list(c.analysis.kinds),
+    "seed": lambda c: c.analysis.detection.seed,
+    "maxPasses": lambda c: c.analysis.detection.max_passes,
+    "minGainEpsilon": lambda c: c.analysis.detection.min_gain_epsilon,
+    "rhos": lambda c: list(c.analysis.rhos),
+    "minCommunitySize": lambda c: c.analysis.min_community_size,
+    "includeShares": lambda c: c.include_shares,
+    "outDir": lambda c: str(c.out_dir),
+}
+
+
+def test_readme_run_key_defaults_are_in_effect():
+    """Every default cell of the README key table that holds a JSON literal is
+    the value a config without that key runs with."""
+    rows = re.findall(r"^\| `(\w+)` \| [^|]* \| `([^`]*)` \|", _readme_run_section(), flags=re.MULTILINE)
+    assert sorted(key for key, _ in rows) == sorted(EFFECTIVE_VALUES)
+    config = RunConfig.from_json(_run_json(), Path("."))
+    for key, literal in rows:
+        assert EFFECTIVE_VALUES[key](config) == json.loads(literal), key
 
 
 @settings(max_examples=40, deadline=None)
