@@ -40,7 +40,7 @@ from .lexicon import (
     tokenize,
 )
 from .modularity import ModularityReport, d_modularity_report, modularity
-from .pareto import CriterionSpec, Direction, ParetoPoint, dominates, pareto_frontier
+from .pareto import CriterionSpec, Direction, ParetoPoint, pareto_frontier
 from .pipeline import (
     AUTO,
     AnalysisConfig,
@@ -85,7 +85,6 @@ __all__ = [
     "build_interaction_graph",
     "d_modularity_report",
     "detect",
-    "dominates",
     "emit_plot_data",
     "filter_by_size",
     "greedy_partial_dominating_set",

@@ -20,18 +20,28 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import IO, Iterable, Iterator, Sequence
 
-from .errors import NoEventsError
+from .errors import ConfigError, NoEventsError
 from .graph import Graph, build_graph
 from .lexicon import tokenize
 
 EVENT_KINDS = ("retweet", "reply", "mention", "other")
-# Record fields that, when present and not null, must be strings.
-_STRING_FIELDS = ("source", "target", "author", "text", "timestamp")
-_USER_FIELDS = ("source", "target", "author")
+# Types a record's source, target, author and text may have: absent is None.
+_STRING_OR_ABSENT = {str, type(None)}
 # A user id that membership.tsv could not give back as written: one with a
 # TAB, CR or LF, with leading or trailing whitespace (as str.strip sees it),
 # with a leading '#', or with a lone surrogate, which UTF-8 cannot encode.
 _UNPORTABLE_USER = re.compile(r"[\t\r\n\ud800-\udfff]|\A[\s#]|\s\Z")
+# A canonical UTC stamp, YYYY-MM-DDTHH:MM:SSZ in ASCII digits with the time of
+# day in range; parse_timestamp reads its date, every other form whole.
+_CANONICAL_STAMP = re.compile(r"([0-9]{4}-[0-9]{2}-[0-9]{2})T([01][0-9]|2[0-3]):([0-5][0-9]):([0-5][0-9])Z")
+
+
+def check_kinds(kinds: Iterable[str]) -> set[str]:
+    """The set of *kinds*, which must be a non-empty list of EVENT_KINDS (ConfigError)."""
+    kinds = list(kinds)
+    if not kinds or not all(kind in EVENT_KINDS for kind in kinds):
+        raise ConfigError(f"kinds must list event kinds ({', '.join(EVENT_KINDS)}), got {kinds}")
+    return set(kinds)
 
 
 def parse_timestamp(value: str) -> datetime:
@@ -114,39 +124,6 @@ class WindowSpec:
         return cls(label=label, start=parse_timestamp(start), end=parse_timestamp(end))
 
 
-def _record_fields(record: dict) -> tuple | None:
-    """(micros, kind, source, target, author, text) of a valid record, else None."""
-    if not isinstance(record, dict):
-        return None
-    kind = record.get("kind")
-    if kind not in EVENT_KINDS:
-        return None
-    if any(
-        record.get(name) is not None and not isinstance(record[name], str)
-        for name in _STRING_FIELDS
-    ):
-        return None
-    for name in _USER_FIELDS:
-        user = record.get(name)
-        if user and _UNPORTABLE_USER.search(user):
-            return None
-    if record.get("timestamp") is None:
-        return None
-    try:
-        timestamp = parse_timestamp(record["timestamp"])
-    except ValueError:
-        return None
-    source = record.get("source") or None
-    target = record.get("target") or None
-    author = record.get("author") or None
-    text = record.get("text") or None
-    interaction = bool(source and target)
-    document = bool((author or source) and text)
-    if not interaction and not document:
-        return None
-    return _micros(timestamp), kind, source, target, author, text
-
-
 def ingest_events(
     stream: IO[str] | Iterable[str],
     *,
@@ -155,38 +132,66 @@ def ingest_events(
 ) -> EventLog:
     """Read a JSONL event stream, counting and skipping invalid records.
 
-    ``kinds`` keeps only the given interaction kinds; ``keywords`` keeps
-    only events whose text contains at least one keyword as a token
-    (case-insensitive). Raises NoEventsError when nothing valid remains.
+    ``kinds`` keeps only the given interaction kinds (see check_kinds);
+    ``keywords`` keeps only events whose text contains at least one keyword as
+    a token (case-insensitive). Raises NoEventsError when nothing valid remains.
     """
-    wanted_kinds = set(kinds) if kinds is not None else None
+    wanted_kinds = check_kinds(kinds) if kinds is not None else None
     wanted_words = {w.lower() for w in keywords} if keywords is not None else None
     log = EventLog()
-    ids = log._user_ids
+    ids, unportable, canonical = log._user_ids, _UNPORTABLE_USER.search, _CANONICAL_STAMP.fullmatch
+    decode = json.JSONDecoder().raw_decode
+    day_micros: dict[str, int] = {}  # date -> micros of its midnight, for canonical stamps
     for raw in stream:
         line = raw.strip()
         if not line:
             continue
         try:
-            record = json.loads(line)
+            # One decode, as json.loads: the line has no surrounding whitespace.
+            record, end = decode(line)
         except ValueError:  # also integers past the interpreter's digit limit
+            record, end = None, 0
+        if end != len(line) or type(record) is not dict:
             log.skipped += 1
             continue
-        fields = _record_fields(record)
-        if fields is None:
+        get = record.get
+        kind, stamp, source, target, author, text = (
+            get("kind"), get("timestamp"), get("source"), get("target"), get("author"), get("text")
+        )
+        # A user id is checked until it is interned; all three before any is.
+        if (
+            kind not in EVENT_KINDS
+            or type(stamp) is not str
+            or not (type(source) in _STRING_OR_ABSENT and type(target) in _STRING_OR_ABSENT
+                    and type(author) in _STRING_OR_ABSENT and type(text) in _STRING_OR_ABSENT)
+            or not ((source and target) or ((author or source) and text))
+            or (source and source not in ids and unportable(source))
+            or (target and target not in ids and unportable(target))
+            or (author and author not in ids and unportable(author))
+        ):
             log.skipped += 1
             continue
-        micros, kind, source, target, author, text = fields
+        try:
+            if match := canonical(stamp):
+                date, hour, minute, second = match.groups()
+                if (midnight := day_micros.get(date)) is None:
+                    midnight = day_micros[date] = _micros(parse_timestamp(date))
+                micros = midnight + ((int(hour) * 60 + int(minute)) * 60 + int(second)) * 1_000_000
+            else:
+                micros = _micros(parse_timestamp(stamp))
+        except ValueError:
+            log.skipped += 1
+            continue
         if wanted_kinds is not None and kind not in wanted_kinds:
             continue
         if wanted_words is not None and not (text and wanted_words & set(tokenize(text))):
             continue
         log.times.append(micros)
         log.kinds.append(EVENT_KINDS.index(kind))
-        log.sources.append(-1 if source is None else ids.setdefault(source, len(ids)))
-        log.targets.append(-1 if target is None else ids.setdefault(target, len(ids)))
-        log.authors.append(-1 if author is None else ids.setdefault(author, len(ids)))
-        log.texts.append(text)
+        log.sources.append(ids.setdefault(source, len(ids)) if source else -1)
+        log.targets.append(ids.setdefault(target, len(ids)) if target else -1)
+        log.authors.append(ids.setdefault(author, len(ids)) if author else -1)
+        log.texts.append(text or None)
     if not log.times:
         raise NoEventsError("no valid event records after filtering")
     log._index()
@@ -208,10 +213,10 @@ def slice_window(events: EventLog, window: WindowSpec) -> EventLog:
 def _interaction_pairs(events: EventLog, kinds: Iterable[str] | None = None) -> Iterator[tuple[int, int]]:
     """(source, target) interned user ids of the matching interaction events, in file order.
 
-    ``kinds`` restricts the interaction kinds (None keeps all). Raises
-    NoEventsError, before yielding, when none match or all are self-loops.
+    ``kinds`` restricts the interaction kinds (None keeps all; see check_kinds).
+    Raises NoEventsError, before yielding, when none match or all are self-loops.
     """
-    wanted = set(kinds) if kinds is not None else None
+    wanted = check_kinds(kinds) if kinds is not None else None
     matching = [wanted is None or kind in wanted for kind in EVENT_KINDS]
     sources, targets, kind_of = events.sources, events.targets, events.kinds
 
@@ -230,8 +235,8 @@ def _interaction_pairs(events: EventLog, kinds: Iterable[str] | None = None) -> 
 def build_interaction_graph(events: EventLog, kinds: Iterable[str] | None = None) -> Graph:
     """Undirected simple graph over the users of matching interaction events.
 
-    ``kinds`` restricts the interaction kinds (None keeps all). Raises
-    NoEventsError when no interactions match or all collapse to self-loops.
+    ``kinds`` restricts the interaction kinds (None keeps all; see check_kinds).
+    Raises NoEventsError when no interactions match or all collapse to self-loops.
     """
     users = events.users
     return build_graph((users[s], users[t]) for s, t in _interaction_pairs(events, kinds))

@@ -240,11 +240,10 @@ def score_corpus(
     """
     axis_ids = foundation_map.axis_ids(lexicon)
     # No URL, handle or letter run crosses whitespace, so each distinct
-    # whitespace chunk is tokenized once. Each run is lowercased on its own:
-    # lowercasing can change the runs ("İ" becomes "i" plus a combining dot).
-    chunks: Counter[str] = Counter()
-    for doc in docs:
-        chunks.update(doc.split())
+    # whitespace chunk is tokenized once; the joining space keeps documents
+    # apart. Each run is lowercased on its own: lowercasing can change the
+    # runs ("İ" becomes "i" plus a combining dot).
+    chunks = Counter(" ".join(docs).split())
     hits: dict[frozenset[int], int] = {}
     for chunk, count in chunks.items():
         for run in _chunk_runs(chunk):

@@ -60,14 +60,6 @@ def _dominates_adjusted(b: tuple[float, ...], a: tuple[float, ...]) -> bool:
     return all(x >= y for x, y in zip(b, a)) and any(x > y for x, y in zip(b, a))
 
 
-def dominates(b: ParetoPoint, a: ParetoPoint, criteria: Sequence[CriterionSpec]) -> bool:
-    """True iff *b* is as-or-more radical than *a* on every criterion and
-    strictly more radical on at least one. Equal points do not dominate."""
-    _check_schema(b, criteria)
-    _check_schema(a, criteria)
-    return _dominates_adjusted(_adjusted(b, criteria), _adjusted(a, criteria))
-
-
 def pareto_frontier(
     points: Sequence[ParetoPoint],
     criteria: Sequence[CriterionSpec],

@@ -23,7 +23,7 @@ from typing import IO, Iterable, Mapping, Sequence
 from .community import DetectionConfig, DetectionResult, detect, filter_by_size, resolution_size_threshold
 from .domination import _check_rho, _greedy_sweep
 from .errors import ConfigError, DuplicateAssignmentError, EmptyCorpusError, EmptyGraphError, NoEventsError
-from .events import EVENT_KINDS, EventLog, WindowSpec, _interaction_pairs, build_interaction_graph, ingest_events, slice_window
+from .events import EVENT_KINDS, EventLog, WindowSpec, _interaction_pairs, build_interaction_graph, check_kinds, ingest_events, slice_window
 from .graph import Graph, Partition, community_rows, read_pairs
 from .lexicon import FoundationMap, FoundationScores, Lexicon, load_foundation_map, parse_mfd_dic, score_corpus
 from .modularity import _contributions, _relative
@@ -69,8 +69,7 @@ class AnalysisConfig:
             raise ConfigError(
                 f'minCommunitySize (min_community_size) must be "{AUTO}" or an integer, got {self.min_community_size!r}'
             )
-        if not self.kinds or not all(kind in EVENT_KINDS for kind in self.kinds):
-            raise ConfigError(f"kinds must list event kinds ({', '.join(EVENT_KINDS)}), got {list(self.kinds)}")
+        check_kinds(self.kinds)
 
 
 def _is_path(value: object) -> bool:
@@ -412,8 +411,9 @@ def run_speech_analysis(
     axes = tuple(foundation_map.axes)
     criteria = tuple(CriterionSpec(a, Direction.HIGHER_IS_MORE_RADICAL) for a in axes)
     community_labels = sorted(set(membership.values()))
+    label_of = [membership.get(u) for u in events.users]
     reports: list[SpeechReport] = []
-    users, texts, kinds, authors, sources = events.users, events.texts, events.kinds, events.authors, events.sources
+    texts, kinds, authors, sources = events.texts, events.kinds, events.authors, events.sources
     for window in windows:
         docs: dict[str, list[str]] = {}
         for r in slice_window(events, window).rows:
@@ -424,9 +424,9 @@ def run_speech_analysis(
                 continue
             # The speaker is the author, else the source.
             speaker = authors[r] if authors[r] >= 0 else sources[r]
-            if speaker < 0 or users[speaker] not in membership:
-                continue
-            docs.setdefault(membership[users[speaker]], []).append(text)
+            label = label_of[speaker] if speaker >= 0 else None
+            if label is not None:
+                docs.setdefault(label, []).append(text)
         scored: list[FoundationScores] = []
         for label in community_labels:
             if not docs.get(label):

@@ -18,7 +18,7 @@ from radscales.domination import greedy_partial_dominating_set
 from radscales.errors import NoEventsError
 from radscales.graph import Graph, Partition
 from radscales.modularity import d_modularity_report
-from radscales.pareto import CriterionSpec, Direction, ParetoPoint, dominates
+from radscales.pareto import CriterionSpec, Direction, ParetoPoint
 
 
 def pair_sum_modularity(graph: Graph, partition: Partition) -> float:
@@ -128,6 +128,20 @@ def exhaustive_best_partition(graph: Graph) -> tuple[float, list[int]]:
 
     recurse(0, 0)
     return best_q, best_assign
+
+
+def dominates(b: ParetoPoint, a: ParetoPoint, criteria: Sequence[CriterionSpec]) -> bool:
+    """Dominance by definition, one criterion at a time: *b* is as radical as
+    *a* or more on every criterion and strictly more on at least one."""
+    as_radical, more_radical = [], []
+    for x, y, criterion in zip(b.values, a.values, criteria, strict=True):
+        if criterion.direction is Direction.HIGHER_IS_MORE_RADICAL:
+            as_radical.append(x >= y)
+            more_radical.append(x > y)
+        else:
+            as_radical.append(x <= y)
+            more_radical.append(x < y)
+    return all(as_radical) and any(more_radical)
 
 
 def all_pairs_frontier(points: list[ParetoPoint], criteria: list[CriterionSpec]) -> set[str]:

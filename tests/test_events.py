@@ -14,8 +14,8 @@ from radscales import (
     parse_timestamp,
     slice_window,
 )
-from radscales.errors import NoEventsError
-from radscales.events import EVENT_KINDS
+from radscales.errors import ConfigError, NoEventsError
+from radscales.events import EVENT_KINDS, _interaction_pairs
 
 from .oracles import log_rows, naive_events, naive_slice
 
@@ -244,6 +244,16 @@ def _stamp(instant: datetime, offset: timezone, style: str) -> str:
     return text.replace("+00:00", "Z") if style == "zulu" else text
 
 
+# Stamps on both sides of the canonical YYYY-MM-DDTHH:MM:SSZ form: leap days,
+# times of day out of range, lowercase z, offsets, fractions, full-width
+# digits and the ends of the year range.
+EDGE_STAMPS = [
+    "2024-02-29T12:00:00Z", "2023-02-29T12:00:00Z", "2022-09-20T24:00:00Z", "2022-09-20T23:59:60Z",
+    "2022-09-20T10:00:00z", "2022-09-20T10:00:00+02:00", "2022-09-20T10:00:00-03:30", "2022-09-20T10:00:00.5Z",
+    "2022-09-20T10:00:00.000001Z", "\uff12\uff10\uff12\uff12-09-20T10:00:00Z", "2022-09-20T1\uff10:00:00Z",
+    "0000-01-01T00:00:00Z", "0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z", "2022-09-20T10:00:00",
+    "2022-09-20", " 2022-09-20T10:00:00Z", "2022-09-20T10:00Z", "2022-9-20T10:00:00Z", "2022-09-20 10:00:00Z",
+]
 stamps = st.builds(
     _stamp, st.sampled_from(INSTANTS), st.sampled_from(OFFSETS), st.sampled_from(["naive", "zulu", "offset"])
 )
@@ -259,7 +269,7 @@ valid_records = st.fixed_dictionaries(
 noisy_records = st.fixed_dictionaries(
     {},
     optional={
-        "timestamp": stamps | st.sampled_from([None, "", "2022-13-01", "0001-01-01T00:00:00+01:00", 5]),
+        "timestamp": stamps | st.sampled_from([None, "", "2022-13-01", "0001-01-01T00:00:00+01:00", 5, *EDGE_STAMPS]),
         "kind": st.sampled_from([*EVENT_KINDS, "quote", None, ["retweet"]]),
         "source": users | absent | st.sampled_from(UNPORTABLE_IDS),
         "target": users | absent | st.sampled_from(UNPORTABLE_IDS),
@@ -316,3 +326,77 @@ def test_store_keeps_under_100_bytes_per_event():
         tracemalloc.stop()
     assert len(log) == 20_000
     assert retained / len(log) < 100
+
+
+def _ingested_micros(stamp: str) -> int | None:
+    """The stored time of one retweet record stamped *stamp*, or None when it is skipped."""
+    log = ingest_events([record(source="a", target="b", timestamp=stamp, kind="retweet"), VALID[1]])
+    return log.times[0] if log.skipped == 0 else None
+
+
+def _parsed_micros(stamp: str) -> int | None:
+    try:
+        instant = parse_timestamp(stamp)
+    except ValueError:
+        return None
+    return (instant - datetime(1970, 1, 1, tzinfo=timezone.utc)) // timedelta(microseconds=1)
+
+
+@pytest.mark.parametrize("stamp", EDGE_STAMPS)
+def test_canonical_stamp_path_equals_parse_timestamp(stamp):
+    assert _ingested_micros(stamp) == _parsed_micros(stamp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.from_regex(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}[Zz]", fullmatch=True))
+def test_canonical_shaped_stamps_equal_parse_timestamp(stamp):
+    assert _ingested_micros(stamp) == _parsed_micros(stamp)
+
+
+RECORD_LINE = record(source="a", target="b", timestamp="2022-09-20T10:00:00Z", kind="retweet")
+# Bodies json.loads may or may not read as one event record, and what may
+# surround them: Unicode whitespace (which str.strip removes and JSON does
+# not allow), a BOM, and trailing data such as a second object.
+decode_lines = st.builds(
+    str.__add__,
+    st.builds(str.__add__, st.sampled_from(["", " ", "\t", "\ufeff", "\u3000", "\x85", "\xa0", "\x1c", "\u2028"]),
+              st.sampled_from([
+                  RECORD_LINE, RECORD_LINE + RECORD_LINE, "[]", '"x"', "5", "NaN", "null", "{}", "{",
+                  '{"kind": "retweet", "n": 1' + "0" * 5000 + "}", RECORD_LINE[:-1] + ', "n": NaN}',
+                  RECORD_LINE[:-1] + ', "n": -Infinity}', '{"kind": NaN}', RECORD_LINE.replace('"a"', '"\\ud800"'),
+              ])),
+    st.sampled_from(["", " ", "\n", "\r\n", "\u3000", "\ufeff", " x", "{}", ",", " " + RECORD_LINE, "]"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(decode_lines, max_size=6))
+def test_decode_equals_json_loads_of_the_stripped_line(lines):
+    expected, skipped = naive_events(line.strip() for line in lines)
+    if not expected:
+        with pytest.raises(NoEventsError):
+            ingest_events(lines)
+        return
+    log = ingest_events(lines)
+    assert (log_rows(log), log.skipped) == (expected, skipped)
+
+
+@pytest.mark.parametrize("field", ["target", "author"])
+def test_unportable_later_id_interns_no_earlier_one(field):
+    bad = dict(source="fresh", target="b", author="c", text="oi", timestamp="2022-09-20T00:00:00Z", kind="reply")
+    bad[field] = "a\tb"
+    log = ingest_events(VALID + [record(**bad)])
+    assert log.users == ingest_events(VALID).users
+    assert log.skipped == 1
+
+
+@pytest.mark.parametrize("kinds", [["retweet", "quote"], ["quote"], [], ["Retweet"]])
+def test_unknown_kinds_are_a_usage_error(kinds):
+    message = r"kinds must list event kinds \(retweet, reply, mention, other\)"
+    with pytest.raises(ConfigError, match=message):
+        ingest_events(VALID, kinds=kinds)
+    log = ingest_events(VALID)
+    with pytest.raises(ConfigError, match=message):
+        build_interaction_graph(log, kinds)
+    with pytest.raises(ConfigError, match=message):
+        _interaction_pairs(log, kinds)

@@ -1,9 +1,10 @@
 import io
 import re
 import sys
+from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from radscales import (
     FoundationMap,
@@ -262,6 +263,19 @@ DOCS = st.builds(
     ),
 )
 CORPORA = st.lists(DOCS, max_size=5)
+
+
+@given(CORPORA)
+@example(["", "fair", "", "loyal obey", ""])
+@example(["fair", "ness"])
+@example(["\u3000obey\n", "pure\x85", ""])
+def test_one_split_counts_the_chunks_of_every_document(docs):
+    """score_corpus counts a corpus's chunks in one split of its documents
+    joined by a space, which must cut where each document's own split does."""
+    per_document = Counter()
+    for doc in docs:
+        per_document.update(doc.split())
+    assert Counter(" ".join(docs).split()) == per_document
 
 
 def _assert_matches_oracle(lexicon, fmap, docs):

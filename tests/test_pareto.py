@@ -3,10 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radscales import CriterionSpec, Direction, ParetoPoint, dominates, pareto_frontier
+from radscales import CriterionSpec, Direction, ParetoPoint, pareto_frontier
 from radscales.errors import DuplicateLabelError, EmptyInputError, SchemaMismatchError
 
-from .oracles import all_pairs_frontier
+from .oracles import all_pairs_frontier, dominates
 
 TWO_D = (
     CriterionSpec("cohesion", Direction.HIGHER_IS_MORE_RADICAL),
@@ -40,7 +40,7 @@ def test_dominates_requires_strict_improvement_somewhere():
 
 def test_schema_mismatch():
     with pytest.raises(SchemaMismatchError):
-        dominates(point("b", 0.5), point("a", 0.4, 10), TWO_D)
+        pareto_frontier([point("b", 0.5), point("a", 0.4, 10)], TWO_D)
     with pytest.raises(SchemaMismatchError):
         pareto_frontier([point("a", 1, 2, 3)], TWO_D)
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import logging
@@ -27,7 +28,7 @@ from radscales.pareto import CriterionSpec, Direction, ParetoPoint, pareto_front
 from radscales.pipeline import RUN_KEYS, RunConfig, _window_graph, detect_membership, emit_plot_data, run
 
 from .oracles import log_rows, membership_first_graph, partition_path_window, sorted_induced_rows
-from .streams import TEST_DIC, write_run_dir, write_stream
+from .streams import POST_TEMPLATES, TEST_DIC, stream_windows, write_run_dir, write_stream
 
 
 @pytest.fixture(scope="module")
@@ -539,6 +540,43 @@ def test_include_shares_adds_retweet_text():
     freq_with = with_shares[0].communities[0].scores.per_foundation["Authority"]
     assert freq_without == 0.0
     assert freq_with == 0.5
+
+
+def _speech_sha256(tmp_path, include_shares):
+    """sha256 of the speech reports, as run writes them, of the tests/streams
+    events with every post author-less (its poster is the source) and every
+    retweet carrying the post text of its target's community; users whose id
+    ends in 7 have no membership."""
+    write_stream(tmp_path / "events.jsonl")
+    lines = []
+    for line in (tmp_path / "events.jsonl").read_text(encoding="utf-8").splitlines():
+        event = json.loads(line)
+        if "author" in event:
+            event["source"] = event.pop("author")
+        else:
+            event["text"] = POST_TEMPLATES[event["target"][0]]
+        lines.append(json.dumps(event))
+    log = ingest_events(lines)
+    mapping = {user: user[0] for user in log.users if not user.endswith("7")}
+    lexicon = parse_mfd_dic(io.StringIO(TEST_DIC))
+    reports = run_speech_analysis(
+        log, stream_windows(), mapping, lexicon, FoundationMap.default(), include_shares=include_shares
+    )
+    payload = json.dumps([r.to_dict() for r in reports], indent=2, ensure_ascii=False) + "\n"
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+# Taken before speech corpora were counted with one split and speakers'
+# labels looked up through one list per run.
+SHARES_SPEECH_SHA256 = {
+    False: "38fd54a52998cb2bdf4e4c54ebb54b0947d20613b778c15e4516983b45596d28",
+    True: "9dde0a0952bbbbfe658d6c304ea567d2e6e2889ce826383d8bb258b7a10251f3",
+}
+
+
+@pytest.mark.parametrize("include_shares", [False, True])
+def test_speech_of_author_less_posts_and_shares_matches_golden_hashes(tmp_path, include_shares):
+    assert _speech_sha256(tmp_path, include_shares) == SHARES_SPEECH_SHA256[include_shares]
 
 
 def test_emit_plot_data_structural(tmp_path, stream, analysis_config, membership):
