@@ -13,6 +13,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -240,10 +241,11 @@ def score_corpus(
     """
     axis_ids = foundation_map.axis_ids(lexicon)
     # No URL, handle or letter run crosses whitespace, so each distinct
-    # whitespace chunk is tokenized once; the joining space keeps documents
-    # apart. Each run is lowercased on its own: lowercasing can change the
-    # runs ("İ" becomes "i" plus a combining dot).
-    chunks = Counter(" ".join(docs).split())
+    # whitespace chunk is tokenized once. One Counter pass takes every
+    # document's chunks; joining the corpus into one string first would hold a
+    # list of all its chunks at once. Each run is lowercased on its own:
+    # lowercasing can change the runs ("İ" becomes "i" plus a combining dot).
+    chunks = Counter(chain.from_iterable(map(str.split, docs)))
     hits: dict[frozenset[int], int] = {}
     for chunk, count in chunks.items():
         for run in _chunk_runs(chunk):

@@ -1,7 +1,6 @@
 import io
 import re
 import sys
-from collections import Counter
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -269,13 +268,15 @@ CORPORA = st.lists(DOCS, max_size=5)
 @example(["", "fair", "", "loyal obey", ""])
 @example(["fair", "ness"])
 @example(["\u3000obey\n", "pure\x85", ""])
-def test_one_split_counts_the_chunks_of_every_document(docs):
-    """score_corpus counts a corpus's chunks in one split of its documents
-    joined by a space, which must cut where each document's own split does."""
-    per_document = Counter()
-    for doc in docs:
-        per_document.update(doc.split())
-    assert Counter(" ".join(docs).split()) == per_document
+def test_document_boundaries_are_whitespace(docs):
+    """A corpus scores as its documents joined by a space: each document's
+    chunks are counted apart, with empty documents adding none and a word at
+    the end of one document never running into the next."""
+    fmap = FoundationMap.default()
+    lex = parse_mfd_dic(io.StringIO(DIFF_DIC))
+    if not any(tokenize(doc) for doc in docs):
+        return
+    assert score_corpus(lex, fmap, docs, "x") == score_corpus(lex, fmap, [" ".join(docs)], "x")
 
 
 def _assert_matches_oracle(lexicon, fmap, docs):
