@@ -241,13 +241,17 @@ def score_corpus(
     """
     axis_ids = foundation_map.axis_ids(lexicon)
     # No URL, handle or letter run crosses whitespace, so each distinct
-    # whitespace chunk is tokenized once. One Counter pass takes every
-    # document's chunks; joining the corpus into one string first would hold a
-    # list of all its chunks at once. Each run is lowercased on its own:
+    # whitespace chunk is tokenized once (a corpus joined into one string would
+    # hold a list of all its chunks at once). Each run is lowercased on its own:
     # lowercasing can change the runs ("İ" becomes "i" plus a combining dot).
     chunks = Counter(chain.from_iterable(map(str.split, docs)))
     hits: dict[frozenset[int], int] = {}
+    memo = lexicon._memo
     for chunk, count in chunks.items():
+        # Most chunks are letters only, their own single run, and looked up before.
+        if chunk.isalpha() and (matched := memo.get(chunk.lower())) is not None:
+            hits[matched] = hits.get(matched, 0) + count
+            continue
         for run in _chunk_runs(chunk):
             matched = lexicon.category_ids_for(run.lower())
             hits[matched] = hits.get(matched, 0) + count

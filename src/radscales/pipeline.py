@@ -424,8 +424,7 @@ def run_speech_analysis(
                 continue
             # The speaker is the author, else the source.
             speaker = authors[r] if authors[r] >= 0 else sources[r]
-            label = label_of[speaker] if speaker >= 0 else None
-            if label is not None:
+            if speaker >= 0 and (label := label_of[speaker]) is not None:
                 docs.setdefault(label, []).append(text)
         scored: list[FoundationScores] = []
         for label in community_labels:
