@@ -34,6 +34,7 @@ _UNPORTABLE_USER = re.compile(r"[\t\r\n\ud800-\udfff]|\A[\s#]|\s\Z")
 # A canonical UTC stamp, YYYY-MM-DDTHH:MM:SSZ in ASCII digits with the time of
 # day in range; parse_timestamp reads its date, every other form whole.
 _CANONICAL_STAMP = re.compile(r"([0-9]{4}-[0-9]{2}-[0-9]{2})T([01][0-9]|2[0-3]):([0-5][0-9]):([0-5][0-9])Z")
+_TWO_DIGITS = {f"{n:02d}": n for n in range(60)}  # every hour, minute and second the regex admits
 
 
 def check_kinds(kinds: Iterable[str]) -> set[str]:
@@ -98,7 +99,7 @@ class EventLog:
         times = self.times
         self.users = list(self._user_ids)
         self.order = array("i", sorted(range(len(times)), key=times.__getitem__))
-        self.sorted_times = array("q", map(times.__getitem__, self.order))
+        self.sorted_times = array("q", sorted(times))
         self.span = (0, len(times))
         self.rows: Sequence[int] = range(len(times))
 
@@ -147,8 +148,7 @@ def ingest_events(
         if not line:
             continue
         try:
-            # One decode, as json.loads: the line has no surrounding whitespace.
-            record, end = decode(line)
+            record, end = decode(line)  # as json.loads: the line has no surrounding whitespace
         except ValueError:  # also integers past the interpreter's digit limit
             record, end = None, 0
         if end != len(line) or type(record) is not dict:
@@ -176,7 +176,7 @@ def ingest_events(
                 date, hour, minute, second = match.groups()
                 if (midnight := day_micros.get(date)) is None:
                     midnight = day_micros[date] = _micros(parse_timestamp(date))
-                micros = midnight + ((int(hour) * 60 + int(minute)) * 60 + int(second)) * 1_000_000
+                micros = midnight + ((_TWO_DIGITS[hour] * 60 + _TWO_DIGITS[minute]) * 60 + _TWO_DIGITS[second]) * 1_000_000
             else:
                 micros = _micros(parse_timestamp(stamp))
         except ValueError:
