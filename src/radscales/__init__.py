@@ -18,7 +18,6 @@ from .errors import RadscalesError
 from .events import (
     EventLog,
     WindowSpec,
-    build_interaction_graph,
     ingest_events,
     parse_timestamp,
     slice_window,
@@ -82,7 +81,6 @@ __all__ = [
     "StructuralReport",
     "WindowSpec",
     "build_graph",
-    "build_interaction_graph",
     "d_modularity_report",
     "detect",
     "emit_plot_data",

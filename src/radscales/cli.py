@@ -105,7 +105,7 @@ def _cmd_detect(args) -> int:
         with open(args.edges, "r", encoding="utf-8") as fh:
             graph = load_edge_list(fh)
         result = detect(graph, detection)
-        membership = membership_from_partition(graph, result.partition)
+        membership = membership_from_partition(graph.labels, result.partition)
     else:
         if (args.start is None) != (args.end is None):
             raise ConfigError("--start and --end must be given together")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, EmptyGraphError
 from .graph import Graph, Partition
-from .modularity import modularity
+from .modularity import _contributions
 
 
 @dataclass(frozen=True)
@@ -123,25 +123,30 @@ def _aggregate(level: _Level, comm: list[int], count: int) -> _Level:
 
 def detect(graph: Graph, config: DetectionConfig | None = None) -> DetectionResult:
     """Run community detection, keeping the per-pass modularity log."""
-    if graph.m == 0:
+    return _detect([dict.fromkeys(row, 1.0) for row in graph.adjacency], config or DetectionConfig())
+
+
+def _detect(adjacency: list[dict[int, float]], config: DetectionConfig) -> DetectionResult:
+    """detect on level-0 adjacency rows: each vertex's neighbours, at weight 1.0.
+
+    The order within a row changes no result: every weight is an integer or
+    a half-integer, so every sum is exact, and candidate communities are
+    scanned in id order. Each pass's Q is counted over the level-0 rows.
+    """
+    m = sum(map(len, adjacency)) // 2
+    if m == 0:
         raise EmptyGraphError("community detection needs at least one edge")
-    config = config or DetectionConfig()
     rng = random.Random(config.seed)
-    level = _Level(
-        adj=[{u: 1.0 for u in graph.neighbors(v)} for v in range(graph.n)],
-        loops=[0.0] * graph.n,
-    )
-    node_of = list(range(graph.n))  # original vertex -> current level vertex
+    level = _Level(adj=adjacency, loops=[0.0] * len(adjacency))
+    node_of = list(range(len(adjacency)))  # original vertex -> current level vertex
     pass_log: list[float] = []
     prev_q = -math.inf
     for _ in range(config.max_passes):
         comm, count = _renumber(_local_move(level, rng))
         node_of = [comm[node] for node in node_of]
         group_of, k = _renumber(node_of)
-        q = modularity(
-            graph,
-            Partition(group_of=tuple(group_of), group_count=k),
-        )
+        edges = ((u, v) for u, row in enumerate(adjacency) for v in row if u < v)
+        q = _contributions(group_of, edges, k, m)[0]
         pass_log.append(q)
         if q - prev_q < config.min_gain_epsilon:
             break

@@ -1,4 +1,4 @@
-"""Event-log ingestion, time-window slicing, and interaction graphs.
+"""Event-log ingestion, time-window slicing, and interaction pairs.
 
 Events arrive as JSONL records with fields {source, target, author, text,
 timestamp, kind}. Interaction records carry source and target (endorsement
@@ -21,7 +21,6 @@ from datetime import datetime, timedelta, timezone
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import ConfigError, NoEventsError
-from .graph import Graph, build_graph
 from .lexicon import tokenize
 
 EVENT_KINDS = ("retweet", "reply", "mention", "other")
@@ -144,12 +143,12 @@ def ingest_events(
     decode = json.JSONDecoder().raw_decode
     day_micros: dict[str, int] = {}  # date -> micros of its midnight, for canonical stamps
     for raw in stream:
-        line = raw.strip()
-        if not line:
+        line = raw.strip(" \t\n\r")  # as json.loads: only JSON whitespace may surround a record
+        if not line or line.isspace():
             continue
         try:
-            record, end = decode(line)  # as json.loads: the line has no surrounding whitespace
-        except ValueError:  # also integers past the interpreter's digit limit
+            record, end = decode(line)
+        except (ValueError, RecursionError):  # also over-long integers and over-deep nesting
             record, end = None, 0
         if end != len(line) or type(record) is not dict:
             log.skipped += 1
@@ -230,13 +229,3 @@ def _interaction_pairs(events: EventLog, kinds: Iterable[str] | None = None) -> 
             raise NoEventsError("no interaction events match the requested kinds")
         raise NoEventsError("all matching interactions are self-loops")
     return pairs()
-
-
-def build_interaction_graph(events: EventLog, kinds: Iterable[str] | None = None) -> Graph:
-    """Undirected simple graph over the users of matching interaction events.
-
-    ``kinds`` restricts the interaction kinds (None keeps all; see check_kinds).
-    Raises NoEventsError when no interactions match or all collapse to self-loops.
-    """
-    users = events.users
-    return build_graph((users[s], users[t]) for s, t in _interaction_pairs(events, kinds))

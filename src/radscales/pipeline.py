@@ -3,10 +3,10 @@ structural and speech scales per community, frontier selection, plot data.
 
 Communities are detected once (or loaded) and carried across windows as a
 user -> community-label membership map; users absent from the map are
-excluded from a window's analysis. A window's graph is built on the event
-log's interned user ids. The cohesion axis is computed on the whole window
-graph; domination runs on each community's own edges, one greedy run per
-community for every rho.
+excluded from a window's analysis. The detection graph and each window's
+graph come from one pass on the event log's interned user ids. The
+cohesion axis is computed on the whole window graph; domination runs on
+each community's own edges, one greedy run per community for every rho.
 """
 
 from __future__ import annotations
@@ -16,15 +16,14 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
-from .community import DetectionConfig, DetectionResult, detect, filter_by_size, resolution_size_threshold
+from .community import DetectionConfig, DetectionResult, _detect, filter_by_size, resolution_size_threshold
 from .domination import _check_rho, _greedy_sweep
 from .errors import ConfigError, DuplicateAssignmentError, EmptyCorpusError, EmptyGraphError, NoEventsError
-from .events import EVENT_KINDS, EventLog, WindowSpec, _interaction_pairs, build_interaction_graph, check_kinds, ingest_events, slice_window
-from .graph import Graph, Partition, community_rows, read_pairs
+from .events import EVENT_KINDS, EventLog, WindowSpec, _interaction_pairs, check_kinds, ingest_events, slice_window
+from .graph import Partition, community_rows, read_pairs
 from .lexicon import FoundationMap, FoundationScores, Lexicon, load_foundation_map, parse_mfd_dic, score_corpus
 from .modularity import _contributions, _relative
 from .pareto import CriterionSpec, Direction, ParetoPoint, _is_number, pareto_frontier
@@ -264,12 +263,28 @@ def read_membership(stream: IO[str] | Iterable[str]) -> dict[str, str]:
     return membership
 
 
-def membership_from_partition(graph: Graph, partition: Partition) -> dict[str, str]:
-    """User label -> community label for a partition of *graph*."""
-    return {
-        graph.labels[v]: partition.group_label(g)
-        for v, g in enumerate(partition.group_of)
-    }
+def membership_from_partition(labels: Sequence[str], partition: Partition) -> dict[str, str]:
+    """User label -> community label for a partition of the vertices labelled *labels*."""
+    return {labels[v]: partition.group_label(g) for v, g in enumerate(partition.group_of)}
+
+
+def _interaction_graph(
+    events: EventLog, kinds: Sequence[str], user_groups: Sequence[int] | None = None
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """The graph of the matching interactions in *events*, in one pass: the users it
+    keeps (interned ids) in first-seen order, and its edges as (low, high) vertex index
+    pairs. Detection keeps every user; a window keeps the users with a group code in
+    *user_groups*. A kept user whose partners are all dropped, or who only interacts
+    with themself, stays isolated. Raises NoEventsError as _interaction_pairs does."""
+    keep = [0] * len(events.users) if user_groups is None else user_groups
+    vertex: dict[int, int] = {}
+    number, edges = vertex.setdefault, set()
+    for s, t in _interaction_pairs(events, kinds):
+        a = number(s, len(vertex)) if keep[s] >= 0 else -1
+        b = number(t, len(vertex)) if keep[t] >= 0 else -1
+        if a >= 0 and b >= 0 and a != b:
+            edges.add((a, b) if a < b else (b, a))
+    return list(vertex), list(edges)  # a list holds the edges in less memory than the set
 
 
 def detect_membership(
@@ -277,32 +292,23 @@ def detect_membership(
 ) -> tuple[dict[str, str], DetectionResult]:
     """One detection run over the interactions of ``config.kinds`` in *window*
     (all events when None): the one path into detection from an event log."""
-    scoped = slice_window(events, window) if window else events
-    graph = build_interaction_graph(scoped, config.kinds)
-    result = detect(graph, config.detection)
-    return membership_from_partition(graph, result.partition), result
-
-
-def _window_graph(
-    events: EventLog, window: WindowSpec, kinds: Sequence[str], user_groups: Sequence[int]
-) -> tuple[list[int], list[tuple[int, int]]]:
-    """The group code of each vertex of a window's graph, the users with a code first seen
-    over its matching interactions, and the edges between them as vertex index pairs. A
-    user whose partners are all unknown, or who only interacts with themself, stays isolated."""
-    try:
-        pairs = list(_interaction_pairs(slice_window(events, window), kinds))
-    except NoEventsError as exc:
-        raise NoEventsError(f"window {window.label}: {exc}") from None
-    users = [u for u in dict.fromkeys(chain.from_iterable(pairs)) if user_groups[u] >= 0]
-    vertex = {u: v for v, u in enumerate(users)}
-    links = {(s, t) if s < t else (t, s) for s, t in pairs if s != t and s in vertex and t in vertex}
-    return [user_groups[u] for u in users], [(vertex[s], vertex[t]) for s, t in links]
+    users, edges = _interaction_graph(slice_window(events, window) if window else events, config.kinds)
+    adjacency: list[dict[int, float]] = [{} for _ in users]
+    for a, b in edges:
+        adjacency[a][b] = adjacency[b][a] = 1.0
+    del edges  # no edge list outlives the level-0 rows
+    result = _detect(adjacency, config.detection)
+    return membership_from_partition([events.users[u] for u in users], result.partition), result
 
 
 def _structural_window_report(
     events: EventLog, window: WindowSpec, user_groups: Sequence[int], group_labels: Sequence[str], config: AnalysisConfig
 ) -> StructuralReport:
-    codes, edges = _window_graph(events, window, config.kinds, user_groups)
+    try:
+        users, edges = _interaction_graph(slice_window(events, window), config.kinds, user_groups)
+    except NoEventsError as exc:
+        raise NoEventsError(f"window {window.label}: {exc}") from None
+    codes = [user_groups[u] for u in users]
     dense = {code: g for g, code in enumerate(sorted(set(codes)))}  # codes rank the labels
     partition = Partition(tuple(dense[c] for c in codes), len(dense), tuple(group_labels[c] for c in dense))
     min_size = config.min_community_size

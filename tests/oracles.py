@@ -294,7 +294,7 @@ def naive_events(lines: Iterable[str]) -> tuple[list[tuple], int]:
             continue
         try:
             record = json.loads(line)
-        except ValueError:
+        except (ValueError, RecursionError):
             skipped += 1
             continue
         event = _naive_event(record)

@@ -8,6 +8,7 @@ statistically flat. Everything is seeded and byte-deterministic.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from datetime import timedelta
@@ -131,6 +132,29 @@ def write_stream(path: Path) -> list[WindowSpec]:
             for record in _window_records(index, window, rng):
                 fh.write(json.dumps(record, ensure_ascii=False) + "\n")
     return windows
+
+
+# sha256 of every file `run` writes for the run dir of write_run_dir(base),
+# taken before detection left the labelled Graph.
+RUN_DIR_SHA256 = {
+    "detection_log.json": "6c708f8a22e01710a86865bbedd82f809937d6d7640613cdb9e7902eefea7b62",
+    "membership.tsv": "e90c22d80c6dca8a7becdf9547cd59dc5c4c8e80e175a4b944a65e4d62c47bbe",
+    "speech.json": "0330f694a3e39784702b9e68744ac586a48eee8210c4d699e6b3d9e5adc6a036",
+    "speech_w1.csv": "7f8e0d8d0320f739e418f06f0038121f31ffc98cef9f602f8ecd0ffe7d44e735",
+    "speech_w2.csv": "7f8e0d8d0320f739e418f06f0038121f31ffc98cef9f602f8ecd0ffe7d44e735",
+    "speech_w3.csv": "7f8e0d8d0320f739e418f06f0038121f31ffc98cef9f602f8ecd0ffe7d44e735",
+    "speech_w4.csv": "7f8e0d8d0320f739e418f06f0038121f31ffc98cef9f602f8ecd0ffe7d44e735",
+    "structural.json": "147591ff5a46a641ccd976150507dc13bd0f4830083da16a38fd5e9c0b1f3bf3",
+    "structural_w1.csv": "73a93abc5b886197d8bb728e7af81a97a486f0fe711419f8fbe5b3f516d61f6d",
+    "structural_w2.csv": "5d2e358c7fa7436f30335efe65bac8bcef5b2ec825a5bd7f427840ed6a577382",
+    "structural_w3.csv": "0b8356e41988c9678618c91e73cbae53f992cdea7017f9c78c72fef3b259462b",
+    "structural_w4.csv": "e5a7e458c6367d41dacf738b3b3621dd7e74223236bdfd09f5f583a42e1c37c8",
+}
+
+
+def written_sha256(out_dir: Path) -> dict[str, str]:
+    """sha256 of every file in *out_dir*, by name."""
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out_dir.iterdir()}
 
 
 def write_run_dir(base: Path, *, seed: int = 0, with_lexicon: bool = True) -> Path:

@@ -19,7 +19,7 @@ from radscales.events import EVENT_KINDS, parse_timestamp
 from radscales.pipeline import RUN_KEYS
 
 from .oracles import closed_coverage, greedy_pick_order, sorted_induced_rows
-from .streams import TEST_DIC, write_run_dir, write_stream
+from .streams import RUN_DIR_SHA256, TEST_DIC, write_run_dir, write_stream, written_sha256
 
 
 def run_cli(*argv):
@@ -738,6 +738,31 @@ def test_run_on_shuffled_stream_matches_golden_hashes(tmp_path):
     assert run_cli("run", "--config", config) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / "out").iterdir()}
     assert written == SHUFFLED_STREAM_SHA256
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_run_reports_do_not_depend_on_the_hash_seed(tmp_path, hash_seed):
+    config = write_run_dir(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(radscales.__file__).resolve().parents[1]), PYTHONHASHSEED=hash_seed)
+    result = subprocess.run(
+        [sys.executable, "-m", "radscales", "run", "--config", str(config)],
+        capture_output=True, text=True, check=False, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert written_sha256(tmp_path / "out") == RUN_DIR_SHA256
+
+
+def test_ingest_and_run_skip_an_over_deep_line(tmp_path, capsys):
+    config = write_run_dir(tmp_path)
+    events = tmp_path / "events.jsonl"
+    assert run_cli("ingest", "--events", events) == 0
+    skipped = json.loads(capsys.readouterr().out)["skipped"]
+    with events.open("a", encoding="utf-8") as fh:
+        fh.write("[" * 100_000 + "]" * 100_000 + "\n")
+    assert run_cli("ingest", "--events", events) == 0
+    assert json.loads(capsys.readouterr().out)["skipped"] == skipped + 1
+    assert run_cli("run", "--config", config) == 0
+    assert written_sha256(tmp_path / "out") == RUN_DIR_SHA256
 
 
 @pytest.mark.parametrize("user", ["a\tb", "#x", " y"])

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radscales import (
     DetectionConfig,
@@ -11,6 +12,7 @@ from radscales import (
     modularity,
     resolution_size_threshold,
 )
+from radscales.community import _detect
 from radscales.errors import EmptyGraphError
 from radscales.synth import PlantedPartitionParams, planted_partition
 
@@ -141,6 +143,47 @@ def test_detected_communities_are_connected():
         for i in range(p.group_count):
             community = [v for v in range(g.n) if p.group_of[v] == i]
             assert nx.is_connected(nx_graph.subgraph(community)), (seed, i)
+
+
+def _unit_rows(rows):
+    return [dict.fromkeys(row, 1.0) for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 60), st.floats(0.02, 0.5), st.integers(0, 2**16), st.randoms(use_true_random=False))
+def test_row_order_changes_no_detection(n, p, seed, rng):
+    # Every weight sum is exact and candidates are scanned in community-id
+    # order, so only the vertex numbering can steer a move.
+    g = random_graph(random.Random(seed), n, p)
+    config = DetectionConfig(seed=seed)
+    expected = _detect(_unit_rows(g.adjacency), config)
+    rows = [list(row) for row in g.adjacency]
+    for row in rows:
+        rng.shuffle(row)
+    result = _detect(_unit_rows(rows), config)
+    assert (result.partition, result.pass_modularity) == (expected.partition, expected.pass_modularity)
+    assert result.pass_modularity[-1] == modularity(g, result.partition)
+
+
+# Louvain is a heuristic: networkx's implementation moves vertices in another
+# order and reaches other local optima, so the two modularities agree only up
+# to a tolerance. On these well-separated planted graphs the gap stayed below
+# 0.0063; a real fault in the moves or the Q bookkeeping moves Q by far more.
+LOUVAIN_Q_TOLERANCE = 0.01
+
+
+def test_detection_modularity_matches_networkx_louvain():
+    nx = pytest.importorskip("networkx")
+    shapes = [(4, 25, 0.3, 0.02), (6, 30, 0.2, 0.02), (10, 15, 0.4, 0.02), (12, 10, 0.5, 0.03)]
+    for groups, size, p_in, p_out in shapes:
+        for seed in range(6):
+            g, _ = planted_partition(PlantedPartitionParams(groups, size, p_in, p_out, seed))
+            ours = _detect(_unit_rows(g.adjacency), DetectionConfig(seed=seed)).pass_modularity[-1]
+            nx_graph = nx.Graph()
+            nx_graph.add_nodes_from(range(g.n))
+            nx_graph.add_edges_from(g.edges())
+            theirs = nx.community.modularity(nx_graph, nx.community.louvain_communities(nx_graph, seed=seed))
+            assert abs(ours - theirs) <= LOUVAIN_Q_TOLERANCE, (groups, size, seed, ours, theirs)
 
 
 def test_resolution_size_threshold():

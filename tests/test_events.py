@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from radscales import (
     WindowSpec,
-    build_interaction_graph,
     ingest_events,
     parse_timestamp,
     slice_window,
 )
 from radscales.errors import ConfigError, NoEventsError
 from radscales.events import EVENT_KINDS, _interaction_pairs
+from radscales.pipeline import _interaction_graph
 
 from .oracles import log_rows, naive_events, naive_slice
 
@@ -166,9 +166,9 @@ def test_interaction_graph_dedupes_and_filters():
         record(source="a", target="b", timestamp="2022-09-20T01:00:00Z", kind="retweet"),
         record(source="a", target="c", timestamp="2022-09-20T02:00:00Z", kind="reply"),
     ]
-    graph = build_interaction_graph(ingest_events(lines), {"retweet"})
-    assert graph.n == 2
-    assert graph.m == 1
+    users, edges = _interaction_graph(ingest_events(lines), {"retweet"})
+    assert len(users) == 2
+    assert len(edges) == 1
 
 
 def test_interaction_graph_self_retweet_only_fatal():
@@ -176,13 +176,13 @@ def test_interaction_graph_self_retweet_only_fatal():
         [record(source="a", target="a", timestamp="2022-09-20T00:00:00Z", kind="retweet")]
     )
     with pytest.raises(NoEventsError):
-        build_interaction_graph(log, {"retweet"})
+        _interaction_graph(log, {"retweet"})
 
 
 def test_interaction_graph_no_matching_kind_fatal():
     log = ingest_events(VALID)
     with pytest.raises(NoEventsError):
-        build_interaction_graph(log, {"mention"})
+        _interaction_graph(log, {"mention"})
 
 
 def test_roundtrip_demo_edges(demo_graph):
@@ -196,10 +196,11 @@ def test_roundtrip_demo_edges(demo_graph):
         )
         for u, v in g.edges()
     ]
-    rebuilt = build_interaction_graph(ingest_events(lines), {"retweet"})
-    assert rebuilt.n == g.n
-    assert rebuilt.m == g.m
-    assert sorted(rebuilt.labels) == sorted(g.labels)
+    log = ingest_events(lines)
+    users, edges = _interaction_graph(log, {"retweet"})
+    assert len(users) == g.n
+    assert len(edges) == g.m
+    assert sorted(log.users[u] for u in users) == sorted(g.labels)
 
 
 # Ids that membership.tsv cannot hold as written: a TAB splits the line, a
@@ -277,9 +278,17 @@ noisy_records = st.fixed_dictionaries(
         "text": texts | st.just(["bom", "dia"]),
     },
 )
+# What may surround a line: JSON whitespace, which a record may carry, and
+# other Unicode whitespace, which it may not.
+paddings = st.sampled_from(["", "", "", " ", "\t", "\r\n", "\n", "\u3000", "\x85", "\xa0", "\u2028", "\x1c", "\x0b"])
 stream_lines = st.lists(
-    st.one_of(valid_records.map(json.dumps), valid_records.map(json.dumps), noisy_records.map(json.dumps),
-              st.sampled_from(["{not json", "", "[]"])),
+    st.builds(
+        lambda before, line, after: before + line + after,
+        paddings,
+        st.one_of(valid_records.map(json.dumps), valid_records.map(json.dumps), noisy_records.map(json.dumps),
+                  st.sampled_from(["{not json", "", "[]"])),
+        paddings,
+    ),
     max_size=30,
 )
 bounds = st.tuples(st.sampled_from(INSTANTS), st.sampled_from(INSTANTS)).filter(lambda b: b[0] < b[1])
@@ -356,7 +365,8 @@ def test_canonical_shaped_stamps_equal_parse_timestamp(stamp):
 RECORD_LINE = record(source="a", target="b", timestamp="2022-09-20T10:00:00Z", kind="retweet")
 # Bodies json.loads may or may not read as one event record, and what may
 # surround them: Unicode whitespace (which str.strip removes and JSON does
-# not allow), a BOM, and trailing data such as a second object.
+# not allow, so the record is skipped), a BOM, and trailing data such as a
+# second object.
 decode_lines = st.builds(
     str.__add__,
     st.builds(str.__add__, st.sampled_from(["", " ", "\t", "\ufeff", "\u3000", "\x85", "\xa0", "\x1c", "\u2028"]),
@@ -371,8 +381,8 @@ decode_lines = st.builds(
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(decode_lines, max_size=6))
-def test_decode_equals_json_loads_of_the_stripped_line(lines):
-    expected, skipped = naive_events(line.strip() for line in lines)
+def test_decode_equals_json_loads_of_the_line(lines):
+    expected, skipped = naive_events(lines)
     if not expected:
         with pytest.raises(NoEventsError):
             ingest_events(lines)
@@ -397,6 +407,21 @@ def test_unknown_kinds_are_a_usage_error(kinds):
         ingest_events(VALID, kinds=kinds)
     log = ingest_events(VALID)
     with pytest.raises(ConfigError, match=message):
-        build_interaction_graph(log, kinds)
+        _interaction_graph(log, kinds)
     with pytest.raises(ConfigError, match=message):
         _interaction_pairs(log, kinds)
+
+
+@pytest.mark.parametrize("space", ["\u3000", "\x85", "\xa0"])
+def test_only_json_whitespace_may_surround_a_record(space):
+    lines = [space + VALID[0], VALID[1] + space, f" \t{VALID[2]}\r\n", space, f" {space}\t\n"]
+    log = ingest_events(lines)
+    assert (log_rows(log), log.skipped) == naive_events(lines)
+    assert (len(log), log.skipped) == (1, 2)  # the all-whitespace lines are blank, not counted
+
+
+def test_over_deep_line_is_counted_and_skipped():
+    lines = [*VALID, "[" * 100_000 + "]" * 100_000 + "\n"]
+    log = ingest_events(lines)
+    assert (log_rows(log), log.skipped) == naive_events(lines)
+    assert (log_rows(log), log.skipped) == (log_rows(ingest_events(VALID)), 1)

@@ -23,12 +23,13 @@ from radscales import (
 )
 from radscales.cli import main as cli_main
 from radscales.errors import ConfigError, DuplicateAssignmentError, EmptyGraphError, NoEventsError
-from radscales.events import EVENT_KINDS, build_interaction_graph
+from radscales.events import EVENT_KINDS, slice_window
+from radscales.graph import Graph, build_graph
 from radscales.pareto import CriterionSpec, Direction, ParetoPoint, pareto_frontier
-from radscales.pipeline import RUN_KEYS, RunConfig, _window_graph, detect_membership, emit_plot_data, run
+from radscales.pipeline import RUN_KEYS, RunConfig, _interaction_graph, detect_membership, emit_plot_data, run
 
 from .oracles import log_rows, membership_first_graph, partition_path_window, sorted_induced_rows
-from .streams import POST_TEMPLATES, TEST_DIC, stream_windows, write_run_dir, write_stream
+from .streams import POST_TEMPLATES, RUN_DIR_SHA256, TEST_DIC, stream_windows, write_run_dir, write_stream, written_sha256
 
 
 @pytest.fixture(scope="module")
@@ -247,16 +248,17 @@ def test_no_fold_warning_when_a_group_is_kept(caplog):
     assert "fold" not in caplog.text
 
 
-def _run_window_graph(log, window, kinds, membership):
-    """Labels and sorted adjacency rows of the graph a run builds for *window*,
-    with each user's interned id as its group code."""
-    user_groups = [i if user in membership else -1 for i, user in enumerate(log.users)]
-    codes, edges = _window_graph(log, window, kinds, user_groups)
-    rows = [[] for _ in codes]
+def _labelled_graph(log, window, kinds, membership=None):
+    """Labels and sorted adjacency rows of the graph a run builds for *window*
+    (all events when None): a window graph of the users in *membership*, or
+    the detection graph of every user when it is None."""
+    user_groups = None if membership is None else [0 if user in membership else -1 for user in log.users]
+    users, edges = _interaction_graph(slice_window(log, window) if window else log, kinds, user_groups)
+    rows = [[] for _ in users]
     for a, b in edges:
         rows[a].append(b)
         rows[b].append(a)
-    return tuple(log.users[c] for c in codes), tuple(tuple(sorted(r)) for r in rows)
+    return tuple(log.users[u] for u in users), tuple(tuple(sorted(r)) for r in rows)
 
 
 def test_known_users_without_known_partners_stay_isolated():
@@ -267,7 +269,7 @@ def test_known_users_without_known_partners_stay_isolated():
     )
     mapping = {"a1": "a", "a2": "a", "a3": "a", "b1": "b", "b2": "b", "b3": "b"}
     window = WindowSpec("all", parse_timestamp("2022-09-19"), parse_timestamp("2022-09-21"))
-    labels, rows = _run_window_graph(log, window, ("retweet",), mapping)
+    labels, rows = _labelled_graph(log, window, ("retweet",), mapping)
     assert labels == ("a1", "a2", "a3", "b1", "b2", "b3")
     assert (rows[2], rows[5], sum(map(len, rows)) // 2) == ((), (), 3)
     config = AnalysisConfig(min_community_size=1)
@@ -295,15 +297,37 @@ def test_window_graph_equals_membership_first_oracle(interactions, known, kinds)
     window = WindowSpec("w", parse_timestamp(stamp), parse_timestamp("2022-09-21"))
     matching = [(s, t) for s, t, k in interactions if k in kinds]
     if not matching or all(s == t for s, t in matching):
+        with pytest.raises(NoEventsError):
+            _labelled_graph(log, window, kinds, membership)
+        config = AnalysisConfig(kinds=tuple(kinds), min_community_size=1)
         with pytest.raises(NoEventsError, match="^window w: "):
-            _run_window_graph(log, window, kinds, membership)
+            run_structural_analysis(log, [window], membership, config)
         return
-    labels, rows = _run_window_graph(log, window, kinds, membership)
+    labels, rows = _labelled_graph(log, window, kinds, membership)
     assert (labels, rows) == membership_first_graph(interactions, kinds, known)
-    # the same graph as inducing the raw window graph on its known users
-    raw = build_interaction_graph(log, kinds)
+    # the same graph as inducing the detection graph, every user kept, on the known users
+    raw = Graph(*_labelled_graph(log, None, kinds))
     inside = [v for v, u in enumerate(raw.labels) if u in membership]
     assert (labels, rows) == (tuple(raw.labels[v] for v in inside), sorted_induced_rows(raw, inside))
+
+
+@given(
+    st.lists(st.tuples(window_users, window_users, st.sampled_from(EVENT_KINDS)), min_size=1, max_size=25),
+    st.sets(st.sampled_from(EVENT_KINDS), min_size=1),
+)
+def test_detection_graph_equals_build_graph_of_the_labelled_pairs(interactions, kinds):
+    stamp = "2022-09-20T00:00:00Z"
+    log = ingest_events(json.dumps({"source": s, "target": t, "timestamp": stamp, "kind": k}) for s, t, k in interactions)
+    matching = [(s, t) for s, t, k in interactions if k in kinds]
+    if all(s == t for s, t in matching):
+        with pytest.raises(NoEventsError):
+            _labelled_graph(log, None, kinds)
+        return
+    # users who only interact with themselves are vertices too, numbered where first seen
+    built = _labelled_graph(log, None, kinds)
+    graph = build_graph(matching)
+    assert built == (graph.labels, graph.adjacency)
+    assert built == membership_first_graph(interactions, kinds, {u for pair in matching for u in pair})
 
 
 stream_users = st.sampled_from([f"u{i}" for i in range(8)])
@@ -763,3 +787,16 @@ def test_detected_membership_file_round_trips(pairs):
         run(RunConfig.from_json({**raw, "membership": "first/membership.tsv"}, base, {"outDir": str(base / "second")}))
         first = (base / "first" / "structural.json").read_bytes()
         assert (base / "second" / "structural.json").read_bytes() == first
+
+
+def test_run_builds_no_graph(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run path built a Graph")
+
+    monkeypatch.setattr(Graph, "_trusted", classmethod(refuse))
+    monkeypatch.setattr(Graph, "__post_init__", refuse)
+    with pytest.raises(AssertionError, match="built a Graph"):
+        build_graph([("a", "b")])
+    config = write_run_dir(tmp_path)
+    run(RunConfig.from_json(json.loads(config.read_text(encoding="utf-8")), tmp_path))
+    assert written_sha256(tmp_path / "out") == RUN_DIR_SHA256
