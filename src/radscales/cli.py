@@ -21,7 +21,7 @@ from .community import DetectionConfig, detect
 from .domination import _check_rho, _greedy_sweep
 from .errors import ConfigError, MalformedLineError, RadscalesError
 from .events import EVENT_KINDS, WindowSpec, ingest_events, parse_timestamp
-from .graph import community_rows, load_edge_list, load_partition, write_edge_list, write_partition
+from .graph import community_rows, load_edge_list, load_partition, read_json, write_edge_list, write_partition
 from .lexicon import load_foundation_map, parse_mfd_dic, score_by_community
 from .modularity import d_modularity_report
 from .pareto import pareto_frontier, read_points
@@ -168,7 +168,10 @@ def _cmd_lexicon_score(args) -> int:
             line = raw.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except RecursionError:
+                raise MalformedLineError(line_no, "JSON nested too deeply to decode") from None
             if not isinstance(record, dict) or not all(
                 isinstance(record.get(key), str) for key in ("community", "text")
             ):
@@ -180,8 +183,7 @@ def _cmd_lexicon_score(args) -> int:
 
 
 def _cmd_pareto(args) -> int:
-    with open(args.points, "r", encoding="utf-8") as fh:
-        criteria, points = read_points(json.load(fh))
+    criteria, points = read_points(read_json(args.points))
     frontier = pareto_frontier(points, criteria)
     _write_payload(
         {
@@ -198,8 +200,7 @@ def _cmd_pareto(args) -> int:
 
 def _cmd_run(args) -> int:
     config_path = Path(args.config)
-    with config_path.open("r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(config_path)
     overrides = {
         "seed": args.seed,
         "rhos": args.rho,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -59,7 +60,10 @@ def _local_move(level: _Level, rng: random.Random) -> list[int]:
     """Sweep vertices in shuffled order, greedily reassigning communities.
 
     Each accepted move strictly increases modularity; sweeps repeat until a
-    full sweep makes no move. Returns the community id per vertex.
+    full sweep makes no move. Returns the community id per vertex. A vertex is
+    skipped while no community it sees (its own, its neighbours') changed since
+    its last evaluation. A stay leaves sigma_tot untouched: exact, as every
+    strength and sigma_tot is an integer-valued float far below 2^53.
     """
     n = level.n
     strength = level.strengths()
@@ -68,28 +72,35 @@ def _local_move(level: _Level, rng: random.Random) -> list[int]:
     sigma_tot = strength.copy()
     order = list(range(n))
     rng.shuffle(order)
+    changed_at = [-1] * n  # step of each sigma_tot's last change; a list read boxes no int
+    evaluated_at = array("q", [-1]) * n  # a vertex that moved is evaluated again: its new community carries the same step
+    step = -1
     while True:
         moves = 0
-        for v in order:
-            c_old = comm[v]
-            weight_to: dict[int, float] = defaultdict(float)
-            for u, w in level.adj[v].items():
-                weight_to[comm[u]] += w
-            sigma_tot[c_old] -= strength[v]
-            # Gain of joining community c, up to a shared constant:
-            # edges to c minus the expected-edge penalty.
-            best_c = c_old
-            best_gain = weight_to.get(c_old, 0.0) - sigma_tot[c_old] * strength[v] / two_w
-            for c in sorted(weight_to):
-                if c == c_old:
+        for step, v in enumerate(order, step + 1):  # steps run on across sweeps
+            since, c_old, row = evaluated_at[v], comm[v], level.adj[v]
+            if changed_at[c_old] < since:
+                for u in row:
+                    if changed_at[comm[u]] >= since:
+                        break
+                else:
                     continue
-                gain = weight_to[c] - sigma_tot[c] * strength[v] / two_w
-                if gain > best_gain:
-                    best_gain = gain
-                    best_c = c
-            sigma_tot[best_c] += strength[v]
+            evaluated_at[v] = step
+            weight_to: dict[int, float] = defaultdict(float)
+            for u, w in row.items():
+                weight_to[comm[u]] += w
+            # Gain of joining community c, up to a shared constant: edges to c minus the
+            # expected-edge penalty. Staying wins a tie; other ties go to the smaller id.
+            best_c, best_gain = c_old, weight_to.pop(c_old, 0.0) - (sigma_tot[c_old] - strength[v]) * strength[v] / two_w
+            for c, wc in weight_to.items():
+                gain = wc - sigma_tot[c] * strength[v] / two_w
+                if gain > best_gain or (gain == best_gain and best_c != c_old and c < best_c):
+                    best_c, best_gain = c, gain
             if best_c != c_old:
+                sigma_tot[c_old] -= strength[v]
+                sigma_tot[best_c] += strength[v]
                 comm[v] = best_c
+                changed_at[c_old] = changed_at[best_c] = step
                 moves += 1
         if moves == 0:
             return comm
@@ -130,8 +141,8 @@ def _detect(adjacency: list[dict[int, float]], config: DetectionConfig) -> Detec
     """detect on level-0 adjacency rows: each vertex's neighbours, at weight 1.0.
 
     The order within a row changes no result: every weight is an integer or
-    a half-integer, so every sum is exact, and candidate communities are
-    scanned in id order. Each pass's Q is counted over the level-0 rows.
+    a half-integer, so every sum is exact, and candidate ties go to the
+    smaller id. Each pass's Q is counted over the level-0 rows.
     """
     m = sum(map(len, adjacency)) // 2
     if m == 0:
@@ -146,13 +157,13 @@ def _detect(adjacency: list[dict[int, float]], config: DetectionConfig) -> Detec
         node_of = [comm[node] for node in node_of]
         group_of, k = _renumber(node_of)
         edges = ((u, v) for u, row in enumerate(adjacency) for v in row if u < v)
-        q = _contributions(group_of, edges, k, m)[0]
+        # A pass that moves no vertex (count == level.n) repeats the last Q; its zero gain ends the passes.
+        q = _contributions(group_of, edges, k, m)[0] if count < level.n or not pass_log else prev_q
         pass_log.append(q)
         if q - prev_q < config.min_gain_epsilon:
             break
         prev_q = q
         level = _aggregate(level, comm, count)
-    group_of, k = _renumber(node_of)
     partition = Partition(
         group_of=tuple(group_of),
         group_count=k,

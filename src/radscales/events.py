@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import copy
 import json
+import operator
 import re
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from itertools import islice
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import ConfigError, NoEventsError
@@ -97,8 +99,9 @@ class EventLog:
         """Users by id, the stable time order of all rows and the times in that order."""
         times = self.times
         self.users = list(self._user_ids)
-        self.order = array("i", sorted(range(len(times)), key=times.__getitem__))
-        self.sorted_times = array("q", sorted(times))
+        in_order = all(map(operator.le, times, islice(times, 1, None)))  # a stable sort is then the identity
+        self.order = array("i", range(len(times)) if in_order else sorted(range(len(times)), key=times.__getitem__))
+        self.sorted_times = array("q", times if in_order else sorted(times))
         self.span = (0, len(times))
         self.rows: Sequence[int] = range(len(times))
 

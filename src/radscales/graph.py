@@ -8,7 +8,9 @@ reads. ``Graph(...)`` checks its input; the builders below skip the checks.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -173,6 +175,15 @@ def read_pairs(stream: IO[str] | Iterable[str]) -> Iterator[tuple[str, str]]:
         if len(fields) != 2 or not all(fields):
             raise MalformedLineError(line_no, f"expected two fields, got {len(fields)}")
         yield fields[0], fields[1]
+
+
+def read_json(path: Path | str) -> object:
+    """The JSON document in the UTF-8 file at *path*; nesting too deep to decode is a ValueError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to decode") from None
 
 
 def load_edge_list(stream: IO[str] | Iterable[str]) -> Graph:

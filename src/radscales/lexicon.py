@@ -9,7 +9,6 @@ how many of the axis's categories it hits.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -24,6 +23,7 @@ from .errors import (
     MissingDelimiterError,
     UnknownCategoryError,
 )
+from .graph import read_json
 
 # The four radicalization axes, in canonical order. The Care foundation is
 # deliberately not an axis even when its categories exist in a dictionary.
@@ -135,8 +135,7 @@ def load_foundation_map(path: Path | str | None) -> FoundationMap:
     """
     if path is None:
         return FoundationMap.default()
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     if not isinstance(raw, dict) or not all(
         isinstance(names, list) and all(isinstance(n, str) for n in names) for names in raw.values()
     ):

@@ -1,14 +1,18 @@
 """Independent brute-force oracles the optimized implementations are checked
 against. Deliberately naive: these follow the defining formulas directly and
 share no code path with the library, except partition_path_window, which
-keeps a replaced composition of the library's public pieces, and log_rows,
-which reads an EventLog's columns back as one tuple per row."""
+keeps a replaced composition of the library's public pieces, log_rows,
+which reads an EventLog's columns back as one tuple per row, and
+reference_local_move, the Louvain local move that evaluates every vertex on
+every sweep."""
 
 from __future__ import annotations
 
 import json
 import math
+import random
 import re
+from collections import defaultdict
 from datetime import datetime, timedelta, timezone
 from itertools import combinations
 from typing import Container, Iterable, Mapping, Sequence
@@ -128,6 +132,42 @@ def exhaustive_best_partition(graph: Graph) -> tuple[float, list[int]]:
 
     recurse(0, 0)
     return best_q, best_assign
+
+
+def reference_local_move(level, rng: random.Random) -> list[int]:
+    """community._local_move as it was before it skipped unchanged vertices:
+    every sweep evaluates every vertex in the shuffled order, scans the
+    candidate communities in id order and keeps the first strictly best."""
+    n = level.n
+    strength = level.strengths()
+    two_w = sum(strength)
+    comm = list(range(n))
+    sigma_tot = strength.copy()
+    order = list(range(n))
+    rng.shuffle(order)
+    while True:
+        moves = 0
+        for v in order:
+            c_old = comm[v]
+            weight_to: dict[int, float] = defaultdict(float)
+            for u, w in level.adj[v].items():
+                weight_to[comm[u]] += w
+            sigma_tot[c_old] -= strength[v]
+            best_c = c_old
+            best_gain = weight_to.get(c_old, 0.0) - sigma_tot[c_old] * strength[v] / two_w
+            for c in sorted(weight_to):
+                if c == c_old:
+                    continue
+                gain = weight_to[c] - sigma_tot[c] * strength[v] / two_w
+                if gain > best_gain:
+                    best_gain = gain
+                    best_c = c
+            sigma_tot[best_c] += strength[v]
+            if best_c != c_old:
+                comm[v] = best_c
+                moves += 1
+        if moves == 0:
+            return comm
 
 
 def dominates(b: ParetoPoint, a: ParetoPoint, criteria: Sequence[CriterionSpec]) -> bool:

@@ -1029,3 +1029,26 @@ def test_lexicon_score_rejects_malformed_foundation_map(tmp_path, capsys, fmap):
     fmap_path.write_text(json.dumps(fmap), encoding="utf-8")
     assert run_cli("lexicon-score", "--dic", dic, "--docs", docs, "--map", fmap_path) == 2
     assert "list of category names" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reader", ["run --config", "pareto --points", "lexicon-score --map", "lexicon-score --docs"])
+def test_over_deep_json_is_a_data_error(tmp_path, capsys, reader):
+    # JSON nested past the decoder's recursion limit ended each reader with a
+    # RecursionError traceback (exit 3); it is a data error naming its file or line.
+    deep = "[" * 100_000 + "]" * 100_000 + "\n"
+    good = json.dumps({"community": "x", "text": "ordem"}) + "\n"
+    dic, docs, deep_docs, deep_file = (tmp_path / name for name in ("test.dic", "docs.jsonl", "deep.jsonl", "deep.json"))
+    dic.write_text(TEST_DIC, encoding="utf-8")
+    docs.write_text(good, encoding="utf-8")
+    deep_docs.write_text(good + deep, encoding="utf-8")
+    deep_file.write_text(deep, encoding="utf-8")
+    argv, named = {
+        "run --config": (["run", "--config", deep_file], str(deep_file)),
+        "pareto --points": (["pareto", "--points", deep_file], str(deep_file)),
+        "lexicon-score --map": (["lexicon-score", "--dic", dic, "--docs", docs, "--map", deep_file], str(deep_file)),
+        "lexicon-score --docs": (["lexicon-score", "--dic", dic, "--docs", deep_docs], "line 2"),
+    }[reader]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "nested too deeply" in err and named in err
+    assert "Traceback" not in err

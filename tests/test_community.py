@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,12 +13,13 @@ from radscales import (
     modularity,
     resolution_size_threshold,
 )
+from radscales import community
 from radscales.community import _detect
 from radscales.errors import EmptyGraphError
 from radscales.synth import PlantedPartitionParams, planted_partition
 
 from .conftest import random_graph
-from .oracles import exhaustive_best_partition
+from .oracles import exhaustive_best_partition, reference_local_move
 
 # Frozen output of oracles.exhaustive_best_partition on the 12-vertex demo
 # graph (the clique/ring group split); re-derived by the slow test below.
@@ -163,6 +165,47 @@ def test_row_order_changes_no_detection(n, p, seed, rng):
     result = _detect(_unit_rows(rows), config)
     assert (result.partition, result.pass_modularity) == (expected.partition, expected.pass_modularity)
     assert result.pass_modularity[-1] == modularity(g, result.partition)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 60), st.floats(0.0, 0.5), st.integers(0, 2**16))
+def test_local_move_equals_the_reference_kernel(n, p, seed):
+    # The library kernel skips vertices whose inputs have not changed and
+    # scans candidates unsorted; the reference evaluates every vertex on every
+    # sweep in community-id order. The aggregated levels, with loops and
+    # integer weights, run through both, and the reported partition has the
+    # last pass's Q, also when max_passes ends the passes. Low p leaves
+    # isolated vertices.
+    g = random_graph(random.Random(seed), n, p)
+    for detect_seed, max_passes in ((0, 20), (1, 1), (seed, 2)):
+        config = DetectionConfig(seed=detect_seed, max_passes=max_passes)
+        with mock.patch.object(community, "_local_move", reference_local_move):
+            expected = _detect(_unit_rows(g.adjacency), config)
+        result = _detect(_unit_rows(g.adjacency), config)
+        assert (result.partition, result.pass_modularity) == (expected.partition, expected.pass_modularity)
+        assert result.pass_modularity[-1] == modularity(g, result.partition)
+
+
+def test_level_strengths_are_exact_integers():
+    # The local move leaves sigma_tot untouched when a vertex stays, which
+    # equals subtracting and re-adding its strength only while every strength
+    # and every sum of them is an integer-valued float below 2^53.
+    levels = []
+    aggregate = community._aggregate
+
+    def spy(level, comm, count):
+        levels.append(aggregate(level, comm, count))
+        return levels[-1]
+
+    g, _ = planted_partition(PlantedPartitionParams(group_count=12, group_size=15, p_in=0.3, p_out=0.02, seed=4))
+    with mock.patch.object(community, "_aggregate", spy):
+        _detect(_unit_rows(g.adjacency), DetectionConfig(seed=4))
+    assert levels, "detection never aggregated"
+    level_zero = community._Level(adj=_unit_rows(g.adjacency), loops=[0.0] * g.n)
+    for level in [level_zero, *levels]:
+        strengths = level.strengths()
+        assert all(type(s) is float and s.is_integer() for s in strengths)
+        assert sum(strengths) < 2**53
 
 
 # Louvain is a heuristic: networkx's implementation moves vertices in another

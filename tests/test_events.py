@@ -2,6 +2,7 @@ import gc
 import json
 import random
 import tracemalloc
+from array import array
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -229,6 +230,21 @@ def test_slice_keeps_file_order_of_unsorted_input():
     lines = [record(source=f"u{i}", target="v", timestamp=t, kind="retweet") for i, t in enumerate(stamps)]
     window = WindowSpec("w", parse_timestamp("2022-09-20T01:00:00Z"), parse_timestamp("2022-09-20T03:00:00Z"))
     assert [row[2] for row in log_rows(slice_window(ingest_events(lines), window))] == ["u1", "u2", "u3"]
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_time_index_equals_the_keyed_stable_sort(shuffle):
+    # A time column already in order skips the sort; either way, tied times
+    # keep file order.
+    rng = random.Random(23)
+    stamps = sorted(f"2022-09-2{rng.randrange(3)}T0{rng.randrange(3)}:00:00Z" for _ in range(60))
+    if shuffle:
+        rng.shuffle(stamps)
+    log = ingest_events(record(source=f"u{i}", target="v", timestamp=t, kind="retweet") for i, t in enumerate(stamps))
+    times = log.times
+    assert log.order == array("i", sorted(range(len(times)), key=times.__getitem__))
+    assert log.sorted_times == array("q", sorted(times))
+    assert (log.order.typecode, log.sorted_times.typecode) == ("i", "q")
 
 
 BASE = datetime(2022, 9, 20, 10, tzinfo=timezone.utc)
