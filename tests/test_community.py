@@ -186,6 +186,18 @@ def test_local_move_equals_the_reference_kernel(n, p, seed):
         assert result.pass_modularity[-1] == modularity(g, result.partition)
 
 
+def test_local_move_rechecks_a_vertex_whose_own_community_changed():
+    # On this weighted level, as aggregation makes them, some vertex's choice
+    # changes through its own community alone: a kernel that watched only its
+    # neighbours' communities ends elsewhere (found by a search over random
+    # weighted levels; random graphs rarely reach this).
+    edges = [(0, 2, 1), (0, 5, 3), (1, 2, 1), (1, 3, 20), (1, 4, 1), (1, 7, 50), (5, 7, 3), (6, 7, 2)]
+    adj = [{} for _ in range(8)]
+    for u, v, w in edges:
+        adj[u][v] = adj[v][u] = float(w)
+    level = community._Level(adj=adj, loops=[100.0, 400.0, 100.0, 100.0, 100.0, 1.0, 1.0, 1.0])
+    assert community._local_move(level, random.Random(826)) == reference_local_move(level, random.Random(826))
+
 def test_level_strengths_are_exact_integers():
     # The local move leaves sigma_tot untouched when a vertex stays, which
     # equals subtracting and re-adding its strength only while every strength
