@@ -200,7 +200,7 @@ def _cmd_pareto(args) -> int:
 
 def _cmd_run(args) -> int:
     config_path = Path(args.config)
-    raw = read_json(config_path)
+    raw = read_json(config_path, ConfigError)
     overrides = {
         "seed": args.seed,
         "rhos": args.rho,

@@ -13,6 +13,7 @@ import random
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import ConfigError, EmptyGraphError
 from .graph import Graph, Partition
@@ -43,17 +44,19 @@ class DetectionResult:
 
 @dataclass
 class _Level:
-    """Weighted aggregate graph: neighbor weights per vertex, loop weights."""
+    """Weighted aggregate graph: neighbour tuple and weights along it (zip stops at the
+    row's end: level 0 shares one tuple of 1.0s) per vertex, loop weights."""
 
-    adj: list[dict[int, float]]
+    rows: Sequence[tuple[int, ...]]
+    weights: list[tuple[float, ...]]
     loops: list[float]
 
     @property
     def n(self) -> int:
-        return len(self.adj)
+        return len(self.rows)
 
     def strengths(self) -> list[float]:
-        return [sum(w.values()) + 2.0 * self.loops[v] for v, w in enumerate(self.adj)]
+        return [sum(w for _, w in zip(row, ws)) + 2.0 * x for row, ws, x in zip(self.rows, self.weights, self.loops)]
 
 
 def _local_move(level: _Level, rng: random.Random) -> list[int]:
@@ -78,7 +81,7 @@ def _local_move(level: _Level, rng: random.Random) -> list[int]:
     while True:
         moves = 0
         for step, v in enumerate(order, step + 1):  # steps run on across sweeps
-            since, c_old, row = evaluated_at[v], comm[v], level.adj[v]
+            since, c_old, row = evaluated_at[v], comm[v], level.rows[v]
             if changed_at[c_old] < since:
                 for u in row:
                     if changed_at[comm[u]] >= since:
@@ -87,7 +90,7 @@ def _local_move(level: _Level, rng: random.Random) -> list[int]:
                     continue
             evaluated_at[v] = step
             weight_to: dict[int, float] = defaultdict(float)
-            for u, w in row.items():
+            for u, w in zip(row, level.weights[v]):
                 weight_to[comm[u]] += w
             # Gain of joining community c, up to a shared constant: edges to c minus the
             # expected-edge penalty. Staying wins a tie; other ties go to the smaller id.
@@ -123,22 +126,22 @@ def _aggregate(level: _Level, comm: list[int], count: int) -> _Level:
     for v in range(level.n):
         cv = comm[v]
         loops[cv] += level.loops[v]
-        for u, w in level.adj[v].items():
+        for u, w in zip(level.rows[v], level.weights[v]):
             cu = comm[u]
             if cu == cv:
                 loops[cv] += w / 2.0  # seen from both endpoints
             else:
                 adj[cv][cu] += w
-    return _Level(adj=[dict(a) for a in adj], loops=loops)
+    return _Level(rows=[tuple(a) for a in adj], weights=[tuple(a.values()) for a in adj], loops=loops)
 
 
 def detect(graph: Graph, config: DetectionConfig | None = None) -> DetectionResult:
     """Run community detection, keeping the per-pass modularity log."""
-    return _detect([dict.fromkeys(row, 1.0) for row in graph.adjacency], config or DetectionConfig())
+    return _detect(graph.adjacency, config or DetectionConfig())
 
 
-def _detect(adjacency: list[dict[int, float]], config: DetectionConfig) -> DetectionResult:
-    """detect on level-0 adjacency rows: each vertex's neighbours, at weight 1.0.
+def _detect(adjacency: Sequence[tuple[int, ...]], config: DetectionConfig) -> DetectionResult:
+    """detect on level-0 adjacency rows: each vertex's distinct neighbours, at weight 1.0.
 
     The order within a row changes no result: every weight is an integer or
     a half-integer, so every sum is exact, and candidate ties go to the
@@ -148,7 +151,7 @@ def _detect(adjacency: list[dict[int, float]], config: DetectionConfig) -> Detec
     if m == 0:
         raise EmptyGraphError("community detection needs at least one edge")
     rng = random.Random(config.seed)
-    level = _Level(adj=adjacency, loops=[0.0] * len(adjacency))
+    level = _Level(adjacency, [(1.0,) * max(map(len, adjacency))] * len(adjacency), [0.0] * len(adjacency))
     node_of = list(range(len(adjacency)))  # original vertex -> current level vertex
     pass_log: list[float] = []
     prev_q = -math.inf

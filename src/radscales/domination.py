@@ -79,24 +79,21 @@ def _greedy_sweep(adjacency: Sequence[Sequence[int]], rhos: Iterable[float]) -> 
     # Closed neighborhoods are symmetric: the vertices covering u are N[u].
     lists = [(v, *adjacency[v]) for v in range(n)]
     gain = [len(covered_by_v) for covered_by_v in lists]
-    heap = [(-gain[v], v) for v in range(n)]
+    heap = [(-gain[v], v) for v in range(n)]  # one entry per unpicked vertex
     heapq.heapify(heap)
     covered = [False] * n
-    picked = [False] * n
     covered_count = 0
     picks: list[int] = []
     trail = [0]  # trail[k]: vertices covered by the first k picks
     while covered_count < target:
-        while heap:
-            negative_gain, v = heapq.heappop(heap)
-            if not picked[v] and -negative_gain == gain[v]:
-                break
-        else:
-            raise AssertionError("no vertex adds coverage before target met")
+        # Gains only fall: a top entry at its vertex's current gain is the largest
+        # gain, ties to the smallest index. A stale one goes back in at its gain.
+        negative_gain, v = heapq.heappop(heap)
+        while -negative_gain != gain[v]:
+            negative_gain, v = heapq.heappushpop(heap, (-gain[v], v))
         if gain[v] == 0:
             # Unreachable: every uncovered vertex covers at least itself.
             raise AssertionError("zero-gain pick before target met")
-        picked[v] = True
         picks.append(v)
         for u in lists[v]:
             if covered[u]:
@@ -105,8 +102,6 @@ def _greedy_sweep(adjacency: Sequence[Sequence[int]], rhos: Iterable[float]) -> 
             covered_count += 1
             for w in lists[u]:
                 gain[w] -= 1
-                if not picked[w]:
-                    heapq.heappush(heap, (-gain[w], w))
         trail.append(covered_count)
     sizes = [bisect_left(trail, t) for t in targets]
     return tuple(DominationResult(tuple(picks[:k]), rho, t, trail[k], n) for rho, t, k in zip(rhos, targets, sizes))

@@ -177,11 +177,19 @@ def read_pairs(stream: IO[str] | Iterable[str]) -> Iterator[tuple[str, str]]:
         yield fields[0], fields[1]
 
 
-def read_json(path: Path | str) -> object:
-    """The JSON document in the UTF-8 file at *path*; nesting too deep to decode is a ValueError naming the file."""
+def read_json(path: Path | str, error: type[ValueError] = ValueError) -> object:
+    """The JSON in the UTF-8 file at *path*; nesting too deep is a ValueError, a key twice in one object an *error*."""
+
+    def distinct(pairs: list[tuple[str, object]]) -> dict:
+        obj: dict = {}
+        for key, value in pairs:
+            if key in obj:
+                raise error(f"{path}: key {key!r} is given twice in one object")
+            obj[key] = value
+        return obj
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=distinct)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to decode") from None
 

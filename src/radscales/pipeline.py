@@ -270,21 +270,21 @@ def membership_from_partition(labels: Sequence[str], partition: Partition) -> di
 
 def _interaction_graph(
     events: EventLog, kinds: Sequence[str], user_groups: Sequence[int] | None = None
-) -> tuple[list[int], list[tuple[int, int]]]:
+) -> tuple[list[int], list[int]]:
     """The graph of the matching interactions in *events*, in one pass: the users it
-    keeps (interned ids) in first-seen order, and its edges as (low, high) vertex index
-    pairs. Detection keeps every user; a window keeps the users with a group code in
-    *user_groups*. A kept user whose partners are all dropped, or who only interacts
-    with themself, stays isolated. Raises NoEventsError as _interaction_pairs does."""
+    keeps (interned ids) in first-seen order, and its vertex index pairs as one flat list
+    in file order, repeats kept. Detection keeps every user; a window keeps the users with
+    a group code in *user_groups*. A kept user whose partners are all dropped, or who only
+    interacts with themself, stays isolated. Raises NoEventsError as _interaction_pairs does."""
     keep = [0] * len(events.users) if user_groups is None else user_groups
     vertex: dict[int, int] = {}
-    number, edges = vertex.setdefault, set()
+    number, pairs = vertex.setdefault, []
     for s, t in _interaction_pairs(events, kinds):
         a = number(s, len(vertex)) if keep[s] >= 0 else -1
         b = number(t, len(vertex)) if keep[t] >= 0 else -1
         if a >= 0 and b >= 0 and a != b:
-            edges.add((a, b) if a < b else (b, a))
-    return list(vertex), list(edges)  # a list holds the edges in less memory than the set
+            pairs += a, b
+    return list(vertex), pairs
 
 
 def detect_membership(
@@ -292,12 +292,16 @@ def detect_membership(
 ) -> tuple[dict[str, str], DetectionResult]:
     """One detection run over the interactions of ``config.kinds`` in *window*
     (all events when None): the one path into detection from an event log."""
-    users, edges = _interaction_graph(slice_window(events, window) if window else events, config.kinds)
-    adjacency: list[dict[int, float]] = [{} for _ in users]
-    for a, b in edges:
-        adjacency[a][b] = adjacency[b][a] = 1.0
-    del edges  # no edge list outlives the level-0 rows
-    result = _detect(adjacency, config.detection)
+    users, pairs = _interaction_graph(slice_window(events, window) if window else events, config.kinds)
+    rows: list = [[] for _ in users]
+    ends = iter(pairs)
+    for a, b in zip(ends, ends):
+        rows[a].append(b)
+        rows[b].append(a)
+    del pairs, ends  # the pair list does not outlive the level-0 rows
+    for v, row in enumerate(rows):
+        rows[v] = tuple(dict.fromkeys(row))  # distinct neighbours, first-seen order
+    result = _detect(rows, config.detection)
     return membership_from_partition([events.users[u] for u in users], result.partition), result
 
 
@@ -305,9 +309,12 @@ def _structural_window_report(
     events: EventLog, window: WindowSpec, user_groups: Sequence[int], group_labels: Sequence[str], config: AnalysisConfig
 ) -> StructuralReport:
     try:
-        users, edges = _interaction_graph(slice_window(events, window), config.kinds, user_groups)
+        users, pairs = _interaction_graph(slice_window(events, window), config.kinds, user_groups)
     except NoEventsError as exc:
         raise NoEventsError(f"window {window.label}: {exc}") from None
+    ends = iter(pairs)
+    edges = list({(a, b) if a < b else (b, a) for a, b in zip(ends, ends)})  # distinct, as (low, high)
+    del pairs, ends
     codes = [user_groups[u] for u in users]
     dense = {code: g for g, code in enumerate(sorted(set(codes)))}  # codes rank the labels
     partition = Partition(tuple(dense[c] for c in codes), len(dense), tuple(group_labels[c] for c in dense))
@@ -525,8 +532,13 @@ def write_json(payload: object, path: Path) -> None:
 
 
 def run(config: RunConfig) -> None:
-    """Ingest; read or detect the membership; then the structural windows and,
-    with a lexicon, the speech windows, each report written into ``config.out_dir``."""
+    """Check the lexicon and foundation map, ingest, read or detect the membership, then write the
+    structural and, with a lexicon, the speech reports of each window into ``config.out_dir``."""
+    if config.lexicon:
+        with config.lexicon.open("r", encoding="utf-8") as fh:
+            lexicon = parse_mfd_dic(fh)
+        foundation_map = load_foundation_map(config.foundation_map)
+        foundation_map.axis_ids(lexicon)  # every axis hits the lexicon
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     with config.events.open("r", encoding="utf-8") as fh:
@@ -547,9 +559,6 @@ def run(config: RunConfig) -> None:
         emit_plot_data(report, out_dir)
 
     if config.lexicon:
-        with config.lexicon.open("r", encoding="utf-8") as fh:
-            lexicon = parse_mfd_dic(fh)
-        foundation_map = load_foundation_map(config.foundation_map)
         speech = run_speech_analysis(
             events, config.windows, membership, lexicon, foundation_map, include_shares=config.include_shares
         )

@@ -150,7 +150,7 @@ def reference_local_move(level, rng: random.Random) -> list[int]:
         for v in order:
             c_old = comm[v]
             weight_to: dict[int, float] = defaultdict(float)
-            for u, w in level.adj[v].items():
+            for u, w in zip(level.rows[v], level.weights[v]):
                 weight_to[comm[u]] += w
             sigma_tot[c_old] -= strength[v]
             best_c = c_old

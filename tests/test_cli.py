@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -1052,3 +1053,48 @@ def test_over_deep_json_is_a_data_error(tmp_path, capsys, reader):
     err = capsys.readouterr().err
     assert "nested too deeply" in err and named in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("reader, code", [("run --config", 1), ("pareto --points", 2), ("lexicon-score --map", 2)])
+def test_a_key_given_twice_in_one_object_is_an_error(tmp_path, capsys, reader, code):
+    # The JSON decoder keeps the last of two equal keys, so a run config with
+    # "seed": 0, "seed": 5 ran with seed 5 and no word about the 0.
+    config_path = write_run_dir(tmp_path)
+    docs, twice = tmp_path / "docs.jsonl", tmp_path / "twice.json"
+    docs.write_text(json.dumps({"community": "x", "text": "ordem"}) + "\n", encoding="utf-8")
+    config = config_path.read_text(encoding="utf-8")
+    argv, key, text = {
+        "run --config": (["run", "--config", twice], "seed", config.replace('"seed": 0', '"seed": 0, "seed": 5')),
+        "pareto --points": (
+            ["pareto", "--points", twice],
+            "points",
+            json.dumps({"criteria": [HIGHER]})[:-1] + ', "points": [], "points": [{"label": "x", "values": [1]}]}',
+        ),
+        "lexicon-score --map": (
+            ["lexicon-score", "--dic", tmp_path / "mfd_test.dic", "--docs", docs, "--map", twice],
+            "Fairness",
+            '{"Fairness": ["FairnessVirtue"], "Fairness": ["FairnessVice"]}',
+        ),
+    }[reader]
+    twice.write_text(text, encoding="utf-8")
+    assert run_cli(*argv) == code
+    err = capsys.readouterr().err
+    assert repr(key) in err and str(twice) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "fmap, named", [(None, "map.json"), ({"Fairness": ["NoSuchCategory"]}, "'Fairness'")], ids=["missing", "empty-axis"]
+)
+def test_run_checks_the_foundation_map_before_ingest(tmp_path, capsys, fmap, named):
+    # A missing or unusable foundation map was found only after detection and
+    # the structural windows; it is a data error before the events are read.
+    config_path = write_run_dir(tmp_path)
+    if fmap is not None:
+        (tmp_path / "map.json").write_text(json.dumps(fmap), encoding="utf-8")
+    update_config(config_path, foundationMap="map.json")
+    with mock.patch("radscales.pipeline.ingest_events") as ingest:
+        assert run_cli("run", "--config", config_path) == 2
+    assert not ingest.called
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

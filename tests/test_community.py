@@ -147,8 +147,8 @@ def test_detected_communities_are_connected():
             assert nx.is_connected(nx_graph.subgraph(community)), (seed, i)
 
 
-def _unit_rows(rows):
-    return [dict.fromkeys(row, 1.0) for row in rows]
+def _unit_rows(rows):  # level-0 rows: neighbour tuples, each at weight 1.0
+    return [tuple(row) for row in rows]
 
 
 @settings(max_examples=150, deadline=None)
@@ -195,7 +195,8 @@ def test_local_move_rechecks_a_vertex_whose_own_community_changed():
     adj = [{} for _ in range(8)]
     for u, v, w in edges:
         adj[u][v] = adj[v][u] = float(w)
-    level = community._Level(adj=adj, loops=[100.0, 400.0, 100.0, 100.0, 100.0, 1.0, 1.0, 1.0])
+    rows, weights = [tuple(a) for a in adj], [tuple(a.values()) for a in adj]
+    level = community._Level(rows=rows, weights=weights, loops=[100.0, 400.0, 100.0, 100.0, 100.0, 1.0, 1.0, 1.0])
     assert community._local_move(level, random.Random(826)) == reference_local_move(level, random.Random(826))
 
 def test_level_strengths_are_exact_integers():
@@ -213,7 +214,7 @@ def test_level_strengths_are_exact_integers():
     with mock.patch.object(community, "_aggregate", spy):
         _detect(_unit_rows(g.adjacency), DetectionConfig(seed=4))
     assert levels, "detection never aggregated"
-    level_zero = community._Level(adj=_unit_rows(g.adjacency), loops=[0.0] * g.n)
+    level_zero = community._Level(rows=g.adjacency, weights=[(1.0,) * g.n] * g.n, loops=[0.0] * g.n)
     for level in [level_zero, *levels]:
         strengths = level.strengths()
         assert all(type(s) is float and s.is_integer() for s in strengths)

@@ -2,8 +2,10 @@ import hashlib
 import io
 import json
 import logging
+import random
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,10 +15,12 @@ from radscales import (
     AnalysisConfig,
     DetectionConfig,
     FoundationMap,
+    PlantedPartitionParams,
     WindowSpec,
     ingest_events,
     parse_mfd_dic,
     parse_timestamp,
+    planted_partition,
     read_membership,
     run_speech_analysis,
     run_structural_analysis,
@@ -253,12 +257,39 @@ def _labelled_graph(log, window, kinds, membership=None):
     (all events when None): a window graph of the users in *membership*, or
     the detection graph of every user when it is None."""
     user_groups = None if membership is None else [0 if user in membership else -1 for user in log.users]
-    users, edges = _interaction_graph(slice_window(log, window) if window else log, kinds, user_groups)
+    users, pairs = _interaction_graph(slice_window(log, window) if window else log, kinds, user_groups)
     rows = [[] for _ in users]
-    for a, b in edges:
+    for a, b in zip(pairs[::2], pairs[1::2]):
         rows[a].append(b)
         rows[b].append(a)
-    return tuple(log.users[u] for u in users), tuple(tuple(sorted(r)) for r in rows)
+    return tuple(log.users[u] for u in users), tuple(tuple(sorted(set(r))) for r in rows)
+
+
+# Peak traced bytes of detect_membership per detection edge on the stream
+# below. An edge set, an edge list and a weight dict per vertex, held at once,
+# peaked at 159 B/edge; neighbour-tuple rows from the flat pair list peak at 63.
+DETECT_PEAK_BYTES_PER_EDGE = 80
+
+
+def test_detect_membership_peak_memory_per_edge():
+    g, _ = planted_partition(PlantedPartitionParams(20, 50, 0.2, 0.004, seed=24))
+    rng = random.Random(24)
+    edges = list(g.edges())
+    edges += rng.sample(edges, len(edges) // 4)  # repeated interactions
+    rng.shuffle(edges)
+    log = ingest_events(
+        json.dumps({"source": g.labels[u], "target": g.labels[v], "timestamp": "2023-01-02T00:00:00Z", "kind": "retweet"})
+        for u, v in edges
+    )
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        detect_membership(log, AnalysisConfig())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / g.m <= DETECT_PEAK_BYTES_PER_EDGE, peak / g.m
 
 
 def test_known_users_without_known_partners_stay_isolated():
