@@ -9,9 +9,10 @@ reads. ``Graph(...)`` checks its input; the builders below skip the checks.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Hashable, Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateAssignmentError,
@@ -139,24 +140,32 @@ class Partition:
 
 
 def build_graph(edges: Iterable[tuple[str, str]]) -> Graph:
-    """Build a graph from labeled edge pairs.
+    """Build a graph from labeled edge pairs, as sorted_rows numbers and joins them.
+    An empty input yields the empty graph."""
+    labels, rows = sorted_rows(edges)
+    return Graph._trusted(tuple(labels), tuple(rows))
 
-    Labels are interned in first-seen order; self-loops are dropped and
-    duplicate pairs (in either orientation) collapse to a single edge.
-    An empty input yields the empty graph.
-    """
-    index: dict[str, int] = {}
-    pairs: set[tuple[int, int]] = set()
+
+def sorted_rows(edges: Iterable[tuple[Hashable, Hashable]]) -> tuple[list, list[tuple[int, ...]]]:
+    """The labels of the pairs, numbered in first-seen order (the list gives each vertex
+    index its label), and each vertex's sorted tuple of distinct neighbours. Self-loops are
+    dropped, and a repeated pair (in either orientation) adds nothing as the pairs are read:
+    memory grows with the distinct edges, not with the pairs."""
+    index: dict = {}
+    rows: list = []
     for a, b in edges:
         ia = index.setdefault(a, len(index))
         ib = index.setdefault(b, len(index))
-        if ia != ib:
-            pairs.add((ia, ib) if ia < ib else (ib, ia))
-    adj: list[list[int]] = [[] for _ in range(len(index))]
-    for u, v in pairs:
-        adj[u].append(v)
-        adj[v].append(u)
-    return Graph._trusted(tuple(index), tuple(tuple(sorted(nbrs)) for nbrs in adj))
+        if len(rows) < len(index):
+            rows += ([] for _ in range(len(index) - len(rows)))
+        row = rows[ia]
+        i = bisect_left(row, ib)
+        if ia != ib and (i == len(row) or row[i] != ib):
+            row.insert(i, ib)
+            insort(rows[ib], ia)
+    for v, row in enumerate(rows):
+        rows[v] = tuple(row)  # in place: no list outlives its tuple
+    return list(index), rows
 
 
 def read_pairs(stream: IO[str] | Iterable[str]) -> Iterator[tuple[str, str]]:

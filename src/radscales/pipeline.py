@@ -23,7 +23,7 @@ from .community import DetectionConfig, DetectionResult, _detect, filter_by_size
 from .domination import _check_rho, _greedy_sweep
 from .errors import ConfigError, DuplicateAssignmentError, EmptyCorpusError, EmptyGraphError, NoEventsError
 from .events import EVENT_KINDS, EventLog, WindowSpec, _interaction_pairs, check_kinds, ingest_events, slice_window
-from .graph import Partition, community_rows, read_pairs
+from .graph import Partition, community_rows, read_pairs, sorted_rows
 from .lexicon import FoundationMap, FoundationScores, Lexicon, load_foundation_map, parse_mfd_dic, score_corpus
 from .modularity import _contributions, _relative
 from .pareto import CriterionSpec, Direction, ParetoPoint, _is_number, pareto_frontier
@@ -270,21 +270,22 @@ def membership_from_partition(labels: Sequence[str], partition: Partition) -> di
 
 def _interaction_graph(
     events: EventLog, kinds: Sequence[str], user_groups: Sequence[int] | None = None
-) -> tuple[list[int], list[int]]:
+) -> tuple[list[int], list[tuple[int, int]]]:
     """The graph of the matching interactions in *events*, in one pass: the users it
-    keeps (interned ids) in first-seen order, and its vertex index pairs as one flat list
-    in file order, repeats kept. Detection keeps every user; a window keeps the users with
-    a group code in *user_groups*. A kept user whose partners are all dropped, or who only
-    interacts with themself, stays isolated. Raises NoEventsError as _interaction_pairs does."""
+    keeps (interned ids) in first-seen order, and its edges as (low, high) vertex index
+    pairs. It keeps every user by default, as sorted_rows does for detection; a window
+    keeps the users with a group code in *user_groups*. A kept user whose partners are
+    all dropped, or who only interacts with themself, stays isolated. Raises
+    NoEventsError as _interaction_pairs does."""
     keep = [0] * len(events.users) if user_groups is None else user_groups
     vertex: dict[int, int] = {}
-    number, pairs = vertex.setdefault, []
+    number, edges = vertex.setdefault, set()
     for s, t in _interaction_pairs(events, kinds):
         a = number(s, len(vertex)) if keep[s] >= 0 else -1
         b = number(t, len(vertex)) if keep[t] >= 0 else -1
         if a >= 0 and b >= 0 and a != b:
-            pairs += a, b
-    return list(vertex), pairs
+            edges.add((a, b) if a < b else (b, a))
+    return list(vertex), list(edges)  # a list holds the edges in less memory than the set
 
 
 def detect_membership(
@@ -292,15 +293,7 @@ def detect_membership(
 ) -> tuple[dict[str, str], DetectionResult]:
     """One detection run over the interactions of ``config.kinds`` in *window*
     (all events when None): the one path into detection from an event log."""
-    users, pairs = _interaction_graph(slice_window(events, window) if window else events, config.kinds)
-    rows: list = [[] for _ in users]
-    ends = iter(pairs)
-    for a, b in zip(ends, ends):
-        rows[a].append(b)
-        rows[b].append(a)
-    del pairs, ends  # the pair list does not outlive the level-0 rows
-    for v, row in enumerate(rows):
-        rows[v] = tuple(dict.fromkeys(row))  # distinct neighbours, first-seen order
+    users, rows = sorted_rows(_interaction_pairs(slice_window(events, window) if window else events, config.kinds))
     result = _detect(rows, config.detection)
     return membership_from_partition([events.users[u] for u in users], result.partition), result
 
@@ -309,12 +302,9 @@ def _structural_window_report(
     events: EventLog, window: WindowSpec, user_groups: Sequence[int], group_labels: Sequence[str], config: AnalysisConfig
 ) -> StructuralReport:
     try:
-        users, pairs = _interaction_graph(slice_window(events, window), config.kinds, user_groups)
+        users, edges = _interaction_graph(slice_window(events, window), config.kinds, user_groups)
     except NoEventsError as exc:
         raise NoEventsError(f"window {window.label}: {exc}") from None
-    ends = iter(pairs)
-    edges = list({(a, b) if a < b else (b, a) for a, b in zip(ends, ends)})  # distinct, as (low, high)
-    del pairs, ends
     codes = [user_groups[u] for u in users]
     dense = {code: g for g, code in enumerate(sorted(set(codes)))}  # codes rank the labels
     partition = Partition(tuple(dense[c] for c in codes), len(dense), tuple(group_labels[c] for c in dense))

@@ -167,8 +167,7 @@ def test_interaction_graph_dedupes_and_filters():
         record(source="a", target="b", timestamp="2022-09-20T01:00:00Z", kind="retweet"),
         record(source="a", target="c", timestamp="2022-09-20T02:00:00Z", kind="reply"),
     ]
-    users, pairs = _interaction_graph(ingest_events(lines), {"retweet"})
-    edges = {frozenset(pair) for pair in zip(pairs[::2], pairs[1::2])}
+    users, edges = _interaction_graph(ingest_events(lines), {"retweet"})
     assert len(users) == 2
     assert len(edges) == 1
 
@@ -199,8 +198,7 @@ def test_roundtrip_demo_edges(demo_graph):
         for u, v in g.edges()
     ]
     log = ingest_events(lines)
-    users, pairs = _interaction_graph(log, {"retweet"})
-    edges = {frozenset(pair) for pair in zip(pairs[::2], pairs[1::2])}
+    users, edges = _interaction_graph(log, {"retweet"})
     assert len(users) == g.n
     assert len(edges) == g.m
     assert sorted(log.users[u] for u in users) == sorted(g.labels)

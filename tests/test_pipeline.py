@@ -27,8 +27,8 @@ from radscales import (
 )
 from radscales.cli import main as cli_main
 from radscales.errors import ConfigError, DuplicateAssignmentError, EmptyGraphError, NoEventsError
-from radscales.events import EVENT_KINDS, slice_window
-from radscales.graph import Graph, build_graph
+from radscales.events import EVENT_KINDS, _interaction_pairs, slice_window
+from radscales.graph import Graph, build_graph, sorted_rows
 from radscales.pareto import CriterionSpec, Direction, ParetoPoint, pareto_frontier
 from radscales.pipeline import RUN_KEYS, RunConfig, _interaction_graph, detect_membership, emit_plot_data, run
 
@@ -256,26 +256,32 @@ def _labelled_graph(log, window, kinds, membership=None):
     """Labels and sorted adjacency rows of the graph a run builds for *window*
     (all events when None): a window graph of the users in *membership*, or
     the detection graph of every user when it is None."""
-    user_groups = None if membership is None else [0 if user in membership else -1 for user in log.users]
-    users, pairs = _interaction_graph(slice_window(log, window) if window else log, kinds, user_groups)
+    events = slice_window(log, window) if window else log
+    if membership is None:
+        users, rows = sorted_rows(_interaction_pairs(events, kinds))
+        return tuple(log.users[u] for u in users), tuple(rows)
+    users, edges = _interaction_graph(events, kinds, [0 if user in membership else -1 for user in log.users])
     rows = [[] for _ in users]
-    for a, b in zip(pairs[::2], pairs[1::2]):
+    for a, b in edges:
         rows[a].append(b)
         rows[b].append(a)
-    return tuple(log.users[u] for u in users), tuple(tuple(sorted(set(r))) for r in rows)
+    return tuple(log.users[u] for u in users), tuple(tuple(sorted(r)) for r in rows)
 
 
-# Peak traced bytes of detect_membership per detection edge on the stream
-# below. An edge set, an edge list and a weight dict per vertex, held at once,
-# peaked at 159 B/edge; neighbour-tuple rows from the flat pair list peak at 63.
+# Peak traced bytes of detect_membership per detection edge on the streams
+# below, with 1.25 and 5 interactions per edge on average. An edge set, an
+# edge list and a weight dict per vertex, held at once, peaked at 159 and 143
+# B/edge. A flat list of every interaction's pair, then rows with repeats,
+# peaked at 63 and 186. Rows deduplicated as they are built peak at 60 and 43.
 DETECT_PEAK_BYTES_PER_EDGE = 80
 
 
-def test_detect_membership_peak_memory_per_edge():
+@pytest.mark.parametrize("interactions_per_edge", [1.25, 5])
+def test_detect_membership_peak_memory_per_edge(interactions_per_edge):
     g, _ = planted_partition(PlantedPartitionParams(20, 50, 0.2, 0.004, seed=24))
     rng = random.Random(24)
     edges = list(g.edges())
-    edges += rng.sample(edges, len(edges) // 4)  # repeated interactions
+    edges += rng.choices(edges, k=round((interactions_per_edge - 1) * len(edges)))  # repeated interactions
     rng.shuffle(edges)
     log = ingest_events(
         json.dumps({"source": g.labels[u], "target": g.labels[v], "timestamp": "2023-01-02T00:00:00Z", "kind": "retweet"})
