@@ -269,15 +269,13 @@ def membership_from_partition(labels: Sequence[str], partition: Partition) -> di
 
 
 def _interaction_graph(
-    events: EventLog, kinds: Sequence[str], user_groups: Sequence[int] | None = None
+    events: EventLog, kinds: Sequence[str], keep: Sequence[int]
 ) -> tuple[list[int], list[tuple[int, int]]]:
-    """The graph of the matching interactions in *events*, in one pass: the users it
-    keeps (interned ids) in first-seen order, and its edges as (low, high) vertex index
-    pairs. It keeps every user by default, as sorted_rows does for detection; a window
-    keeps the users with a group code in *user_groups*. A kept user whose partners are
-    all dropped, or who only interacts with themself, stays isolated. Raises
-    NoEventsError as _interaction_pairs does."""
-    keep = [0] * len(events.users) if user_groups is None else user_groups
+    """A window graph of the matching interactions in *events*, in one pass: the users
+    with a group code (``keep[id] >= 0``), as interned ids in first-seen order, and its
+    edges as (low, high) vertex index pairs. A kept user whose partners are all dropped,
+    or who only interacts with themself, stays isolated. Raises NoEventsError as
+    _interaction_pairs does."""
     vertex: dict[int, int] = {}
     number, edges = vertex.setdefault, set()
     for s, t in _interaction_pairs(events, kinds):

@@ -167,7 +167,8 @@ def test_interaction_graph_dedupes_and_filters():
         record(source="a", target="b", timestamp="2022-09-20T01:00:00Z", kind="retweet"),
         record(source="a", target="c", timestamp="2022-09-20T02:00:00Z", kind="reply"),
     ]
-    users, edges = _interaction_graph(ingest_events(lines), {"retweet"})
+    log = ingest_events(lines)
+    users, edges = _interaction_graph(log, {"retweet"}, [0] * len(log.users))
     assert len(users) == 2
     assert len(edges) == 1
 
@@ -177,13 +178,13 @@ def test_interaction_graph_self_retweet_only_fatal():
         [record(source="a", target="a", timestamp="2022-09-20T00:00:00Z", kind="retweet")]
     )
     with pytest.raises(NoEventsError):
-        _interaction_graph(log, {"retweet"})
+        _interaction_graph(log, {"retweet"}, [0] * len(log.users))
 
 
 def test_interaction_graph_no_matching_kind_fatal():
     log = ingest_events(VALID)
     with pytest.raises(NoEventsError):
-        _interaction_graph(log, {"mention"})
+        _interaction_graph(log, {"mention"}, [0] * len(log.users))
 
 
 def test_roundtrip_demo_edges(demo_graph):
@@ -198,7 +199,7 @@ def test_roundtrip_demo_edges(demo_graph):
         for u, v in g.edges()
     ]
     log = ingest_events(lines)
-    users, edges = _interaction_graph(log, {"retweet"})
+    users, edges = _interaction_graph(log, {"retweet"}, [0] * len(log.users))
     assert len(users) == g.n
     assert len(edges) == g.m
     assert sorted(log.users[u] for u in users) == sorted(g.labels)
@@ -423,7 +424,7 @@ def test_unknown_kinds_are_a_usage_error(kinds):
         ingest_events(VALID, kinds=kinds)
     log = ingest_events(VALID)
     with pytest.raises(ConfigError, match=message):
-        _interaction_graph(log, kinds)
+        _interaction_graph(log, kinds, [0] * len(log.users))
     with pytest.raises(ConfigError, match=message):
         _interaction_pairs(log, kinds)
 
