@@ -9,7 +9,6 @@ reads. ``Graph(...)`` checks its input; the builders below skip the checks.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Hashable, Iterable, Iterator, Sequence
@@ -140,31 +139,35 @@ class Partition:
 
 
 def build_graph(edges: Iterable[tuple[str, str]]) -> Graph:
-    """Build a graph from labeled edge pairs, as sorted_rows numbers and joins them.
-    An empty input yields the empty graph."""
+    """Build a graph from labeled edge pairs as sorted_rows joins them; no pairs give the empty graph."""
     labels, rows = sorted_rows(edges)
     return Graph._trusted(tuple(labels), tuple(rows))
 
 
 def sorted_rows(edges: Iterable[tuple[Hashable, Hashable]]) -> tuple[list, list[tuple[int, ...]]]:
-    """The labels of the pairs, numbered in first-seen order (the list gives each vertex
-    index its label), and each vertex's sorted tuple of distinct neighbours. Self-loops are
-    dropped, and a repeated pair (in either orientation) adds nothing as the pairs are read:
-    memory grows with the distinct edges, not with the pairs."""
+    """The labels of the pairs, numbered in first-seen order (the list gives each vertex index
+    its label), and each vertex's sorted tuple of distinct neighbours; self-loops are dropped.
+    Repeats are dropped whenever the rows reach twice their distinct entries plus one per vertex,
+    so memory grows with the distinct edges, not the pairs, at amortised constant time per pair."""
     index: dict = {}
     rows: list = []
+    held = limit = 0
     for a, b in edges:
         ia = index.setdefault(a, len(index))
         ib = index.setdefault(b, len(index))
         if len(rows) < len(index):
             rows += ([] for _ in range(len(index) - len(rows)))
-        row = rows[ia]
-        i = bisect_left(row, ib)
-        if ia != ib and (i == len(row) or row[i] != ib):
-            row.insert(i, ib)
-            insort(rows[ib], ia)
+        if ia != ib:
+            rows[ia].append(ib)
+            rows[ib].append(ia)
+            held += 2
+            if held > limit:
+                for row in rows:
+                    row[:] = set(row)
+                held = sum(map(len, rows))
+                limit = 2 * held + len(rows)
     for v, row in enumerate(rows):
-        rows[v] = tuple(row)  # in place: no list outlives its tuple
+        rows[v] = tuple(sorted(set(row)))  # in place: no list outlives its tuple
     return list(index), rows
 
 
