@@ -272,7 +272,8 @@ def _labelled_graph(log, window, kinds, membership=None):
 # below, with 1.25 and 5 interactions per edge on average. An edge set, an
 # edge list and a weight dict per vertex, held at once, peaked at 159 and 143
 # B/edge. A flat list of every interaction's pair, then rows with repeats,
-# peaked at 63 and 186. Rows deduplicated as they are built peak at 60 and 43.
+# peaked at 63 and 186. Rows whose repeats are dropped as they grow peak at
+# 60 and 57.
 DETECT_PEAK_BYTES_PER_EDGE = 80
 
 
