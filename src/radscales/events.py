@@ -6,7 +6,8 @@ edges, e.g. retweets); document records carry author and text. A single
 record may be both. Invalid records, among them those with a user id that
 membership.tsv could not hold, are counted and skipped, never fatal unless
 nothing valid remains. An EventLog keeps the records as columns in file
-order; a time window is a bisect range of their stable time order.
+order, the texts as one UTF-8 buffer; a time window is a bisect range of
+their stable time order.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ _UNPORTABLE_USER = re.compile(r"[\t\r\n\ud800-\udfff]|\A[\s#]|\s\Z")
 # day in range; parse_timestamp reads its date, every other form whole.
 _CANONICAL_STAMP = re.compile(r"([0-9]{4}-[0-9]{2}-[0-9]{2})T([01][0-9]|2[0-3]):([0-5][0-9]):([0-5][0-9])Z")
 _TWO_DIGITS = {f"{n:02d}": n for n in range(60)}  # every hour, minute and second the regex admits
+_TEXT_BATCH = 256  # texts decoded into one string by EventLog.text_batches
 
 
 def check_kinds(kinds: Iterable[str]) -> set[str]:
@@ -79,9 +81,11 @@ class EventLog:
 
     ``times`` holds UTC microseconds since the epoch, ``kinds`` indices into
     EVENT_KINDS, and ``sources``/``targets``/``authors`` indices into
-    ``users`` (-1 when absent). ``rows`` lists the row numbers this log
-    covers, in file order: every row for an ingested log, a window's rows
-    for a slice, which shares the columns.
+    ``users`` (-1 when absent). Row ``r``'s text is the UTF-8 (surrogatepass)
+    span ``text_bytes[text_offsets[r]:text_offsets[r + 1]]``, empty when it
+    has none. ``rows`` lists the row numbers this log covers, in file order:
+    every row for an ingested log, a window's rows for a slice, which shares
+    the columns.
     """
 
     def __init__(self):
@@ -90,23 +94,47 @@ class EventLog:
         self.sources = array("i")
         self.targets = array("i")
         self.authors = array("i")
-        self.texts: list[str | None] = []
+        self.text_bytes = bytearray()
+        self.text_offsets = array("q", [0])
         self._user_ids: dict[str, int] = {}
         self.skipped = 0
         self._index()
 
     def _index(self) -> None:
-        """Users by id, the stable time order of all rows and the times in that order."""
-        times = self.times
+        """Users by id, the stable time order of all rows and the times in that order.
+
+        ingest_events calls this once its columns are complete. Times already in
+        order (a stable sort is then the identity) share the ``times`` column
+        uncopied, so nothing may append to the columns afterwards.
+        """
+        times, n = self.times, len(self.times)
         self.users = list(self._user_ids)
-        in_order = all(map(operator.le, times, islice(times, 1, None)))  # a stable sort is then the identity
-        self.order = array("i", range(len(times)) if in_order else sorted(range(len(times)), key=times.__getitem__))
-        self.sorted_times = array("q", times if in_order else sorted(times))
-        self.span = (0, len(times))
-        self.rows: Sequence[int] = range(len(times))
+        if all(map(operator.le, times, islice(times, 1, None))):
+            self.order, self.sorted_times = range(n), times
+        else:
+            self.order, self.sorted_times = array("i", sorted(range(n), key=times.__getitem__)), array("q", sorted(times))
+        self.span = (0, n)
+        self.rows: Sequence[int] = range(n)
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    def text(self, row: int) -> str | None:
+        """The text of *row*, or None when it has none."""
+        lo, hi = self.text_offsets[row], self.text_offsets[row + 1]
+        return self.text_bytes[lo:hi].decode("utf-8", "surrogatepass") if hi > lo else None
+
+    def text_batches(self, rows: Sequence[int]) -> Iterator[str]:
+        """The texts of *rows*, _TEXT_BATCH at a time, each batch joined by spaces into one string.
+
+        The space keeps every whitespace chunk (``str.split()``) of a text
+        apart from its neighbours'. One decode per batch costs what one per
+        corpus does, while a batch bounds the decoded string's memory.
+        """
+        view, offsets = memoryview(self.text_bytes), self.text_offsets
+        for i in range(0, len(rows), _TEXT_BATCH):
+            batch = rows[i:i + _TEXT_BATCH]
+            yield b" ".join([view[offsets[r]:offsets[r + 1]] for r in batch]).decode("utf-8", "surrogatepass")
 
 
 @dataclass(frozen=True)
@@ -143,6 +171,7 @@ def ingest_events(
     wanted_words = {w.lower() for w in keywords} if keywords is not None else None
     log = EventLog()
     ids, unportable, canonical = log._user_ids, _UNPORTABLE_USER.search, _CANONICAL_STAMP.fullmatch
+    text_bytes, text_offsets = log.text_bytes, log.text_offsets
     decode = json.JSONDecoder().raw_decode
     day_micros: dict[str, int] = {}  # date -> micros of its midnight, for canonical stamps
     for raw in stream:
@@ -193,7 +222,9 @@ def ingest_events(
         log.sources.append(ids.setdefault(source, len(ids)) if source else -1)
         log.targets.append(ids.setdefault(target, len(ids)) if target else -1)
         log.authors.append(ids.setdefault(author, len(ids)) if author else -1)
-        log.texts.append(text or None)
+        if text:
+            text_bytes += text.encode("utf-8", "surrogatepass")
+        text_offsets.append(len(text_bytes))
     if not log.times:
         raise NoEventsError("no valid event records after filtering")
     log._index()
@@ -208,7 +239,8 @@ def slice_window(events: EventLog, window: WindowSpec) -> EventLog:
     view = copy.copy(events)
     view.skipped = 0
     view.span = (lo, hi)
-    view.rows = array("i", sorted(events.order[lo:hi]))
+    order = events.order
+    view.rows = order[lo:hi] if isinstance(order, range) else array("i", sorted(order[lo:hi]))
     return view
 
 

@@ -9,6 +9,7 @@ reads. ``Graph(...)`` checks its input; the builders below skip the checks.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Hashable, Iterable, Iterator, Sequence
@@ -187,6 +188,14 @@ def read_pairs(stream: IO[str] | Iterable[str]) -> Iterator[tuple[str, str]]:
         if len(fields) != 2 or not all(fields):
             raise MalformedLineError(line_no, f"expected two fields, got {len(fields)}")
         yield fields[0], fields[1]
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def utf8_encodable(text: str) -> bool:
+    """Whether UTF-8 can encode *text*, which a lone surrogate (say, from a JSON escape) prevents."""
+    return not _SURROGATE.search(text)
 
 
 def read_json(path: Path | str, error: type[ValueError] = ValueError) -> object:

@@ -23,7 +23,7 @@ from .errors import (
     MissingDelimiterError,
     UnknownCategoryError,
 )
-from .graph import read_json
+from .graph import read_json, utf8_encodable
 
 # The four radicalization axes, in canonical order. The Care foundation is
 # deliberately not an axis even when its categories exist in a dictionary.
@@ -131,7 +131,7 @@ def load_foundation_map(path: Path | str | None) -> FoundationMap:
     """The foundation map JSON file at *path*, or the default map when None.
 
     Raises FoundationMapError unless the file holds an object of axis ->
-    list of category names.
+    list of category names, each axis a name UTF-8 can encode.
     """
     if path is None:
         return FoundationMap.default()
@@ -140,6 +140,9 @@ def load_foundation_map(path: Path | str | None) -> FoundationMap:
         isinstance(names, list) and all(isinstance(n, str) for n in names) for names in raw.values()
     ):
         raise FoundationMapError(f"{path}: expected an object of axis -> list of category names")
+    for axis in raw:
+        if not utf8_encodable(axis):
+            raise FoundationMapError(f"{path}: axis {axis!r} cannot be written: UTF-8 cannot encode it")
     return FoundationMap.from_dict(raw)
 
 

@@ -15,6 +15,7 @@ from enum import Enum
 from typing import Sequence
 
 from .errors import DuplicateLabelError, EmptyInputError, SchemaMismatchError
+from .graph import utf8_encodable
 
 
 class Direction(Enum):
@@ -104,7 +105,8 @@ def read_points(payload: object) -> tuple[tuple[CriterionSpec, ...], list[Pareto
     Raises SchemaMismatchError naming the offending criterion or point index
     when the shape is wrong: each criterion needs a string ``name`` and a
     ``direction`` that names a Direction, each point a string ``label`` and a
-    list of finite numbers as ``values``.
+    list of finite numbers as ``values``. Names and labels must be strings
+    UTF-8 can encode, since the frontier writes them back.
     """
     if not isinstance(payload, dict) or not all(
         isinstance(payload.get(key), list) for key in ("criteria", "points")
@@ -115,11 +117,15 @@ def read_points(payload: object) -> tuple[tuple[CriterionSpec, ...], list[Pareto
     for i, c in enumerate(payload["criteria"]):
         if not (isinstance(c, dict) and isinstance(c.get("name"), str) and c.get("direction") in directions):
             raise SchemaMismatchError(f"criterion {i}: expected a string name and a direction in {directions}")
+        if not utf8_encodable(c["name"]):
+            raise SchemaMismatchError(f"criterion {i}: name {c['name']!r} cannot be written: UTF-8 cannot encode it")
         criteria.append(CriterionSpec(name=c["name"], direction=Direction(c["direction"])))
     points = []
     for i, p in enumerate(payload["points"]):
         values = p.get("values") if isinstance(p, dict) else None
         if not (isinstance(values, list) and all(map(_is_number, values)) and isinstance(p.get("label"), str)):
             raise SchemaMismatchError(f"point {i}: expected a string label and a list of finite numbers as values")
+        if not utf8_encodable(p["label"]):
+            raise SchemaMismatchError(f"point {i}: label {p['label']!r} cannot be written: UTF-8 cannot encode it")
         points.append(ParetoPoint(label=p["label"], values=tuple(float(v) for v in values)))
     return tuple(criteria), points

@@ -15,6 +15,7 @@ import csv
 import json
 import logging
 import re
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
@@ -23,7 +24,7 @@ from .community import DetectionConfig, DetectionResult, _detect, filter_by_size
 from .domination import _check_rho, _greedy_sweep
 from .errors import ConfigError, DuplicateAssignmentError, EmptyCorpusError, EmptyGraphError, NoEventsError
 from .events import EVENT_KINDS, EventLog, WindowSpec, _interaction_pairs, check_kinds, ingest_events, slice_window
-from .graph import Partition, community_rows, read_pairs, sorted_rows
+from .graph import Partition, community_rows, read_pairs, sorted_rows, utf8_encodable
 from .lexicon import FoundationMap, FoundationScores, Lexicon, load_foundation_map, parse_mfd_dic, score_corpus
 from .modularity import _contributions, _relative
 from .pareto import CriterionSpec, Direction, ParetoPoint, _is_number, pareto_frontier
@@ -138,6 +139,8 @@ class RunConfig:
             raise ConfigError("windows must list at least one window")
         labels: dict[str, str] = {}
         for window in self.windows:
+            if not utf8_encodable(window.label):
+                raise ConfigError(f"window label {window.label!r} cannot be written: UTF-8 cannot encode it")
             name = _safe_name(window.label)
             if name in labels:
                 raise ConfigError(f"windows {labels[name]!r} and {window.label!r} both write the reports of {name!r}")
@@ -412,24 +415,24 @@ def run_speech_analysis(
     axes = tuple(foundation_map.axes)
     criteria = tuple(CriterionSpec(a, Direction.HIGHER_IS_MORE_RADICAL) for a in axes)
     community_labels = sorted(set(membership.values()))
-    label_of = [membership.get(u) for u in events.users]
+    code = {label: i for i, label in enumerate(community_labels)}
+    community_of = [code[membership[u]] if u in membership else -1 for u in events.users]
     reports: list[SpeechReport] = []
-    texts, kinds, authors, sources = events.texts, events.kinds, events.authors, events.sources
+    offsets, kinds, authors, sources = events.text_offsets, events.kinds, events.authors, events.sources
     for window in windows:
-        docs: dict[str, list[str]] = {}
+        docs = [array("i") for _ in community_labels]  # each community's rows with text
         for r in slice_window(events, window).rows:
-            text = texts[r]
-            if not text:
+            if offsets[r] == offsets[r + 1]:
                 continue
             if kinds[r] == _RETWEET and not include_shares:
                 continue
             # The speaker is the author, else the source.
             speaker = authors[r] if authors[r] >= 0 else sources[r]
-            if speaker >= 0 and (label := label_of[speaker]) is not None:
-                docs.setdefault(label, []).append(text)
+            if speaker >= 0 and (c := community_of[speaker]) >= 0:
+                docs[c].append(r)
         scored: list[FoundationScores] = []
-        for label in community_labels:
-            if not docs.get(label):
+        for label, rows in zip(community_labels, docs):
+            if not rows:
                 logger.warning(
                     "window %s: community %s has an empty corpus; dropped",
                     window.label,
@@ -437,7 +440,7 @@ def run_speech_analysis(
                 )
                 continue
             try:
-                scored.append(score_corpus(lexicon, foundation_map, docs[label], label))
+                scored.append(score_corpus(lexicon, foundation_map, events.text_batches(rows), label))
             except EmptyCorpusError:
                 logger.warning(
                     "window %s: community %s has no tokens; dropped",
@@ -527,15 +530,16 @@ def run(config: RunConfig) -> None:
             lexicon = parse_mfd_dic(fh)
         foundation_map = load_foundation_map(config.foundation_map)
         foundation_map.axis_ids(lexicon)  # every axis hits the lexicon
-    out_dir = config.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     with config.events.open("r", encoding="utf-8") as fh:
         events = ingest_events(fh, keywords=config.keywords)
     if config.membership:
         with config.membership.open("r", encoding="utf-8") as fh:
-            membership = read_membership(fh)
+            membership, result = read_membership(fh), None
     else:
         membership, result = detect_membership(events, config.analysis, config.detection_range)
+    out_dir = config.out_dir  # made once every input is read
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if result is not None:
         write_json(list(result.pass_modularity), out_dir / "detection_log.json")
     with (out_dir / "membership.tsv").open("w", encoding="utf-8") as fh:
         for user in sorted(membership):

@@ -2,9 +2,10 @@
 against. Deliberately naive: these follow the defining formulas directly and
 share no code path with the library, except partition_path_window, which
 keeps a replaced composition of the library's public pieces, log_rows,
-which reads an EventLog's columns back as one tuple per row, and
+which reads an EventLog's columns back as one tuple per row,
 reference_local_move, the Louvain local move that evaluates every vertex on
-every sweep."""
+every sweep, and reference_speech_analysis, which scores each community's
+texts as a list of strings with the library's score_corpus."""
 
 from __future__ import annotations
 
@@ -19,10 +20,12 @@ from typing import Container, Iterable, Mapping, Sequence
 
 from radscales.community import filter_by_size, resolution_size_threshold
 from radscales.domination import greedy_partial_dominating_set
-from radscales.errors import NoEventsError
+from radscales.errors import EmptyCorpusError, NoEventsError
 from radscales.graph import Graph, Partition
+from radscales.lexicon import FoundationMap, Lexicon, score_corpus
 from radscales.modularity import d_modularity_report
-from radscales.pareto import CriterionSpec, Direction, ParetoPoint
+from radscales.pareto import CriterionSpec, Direction, ParetoPoint, pareto_frontier
+from radscales.pipeline import CommunitySpeech, SpeechReport
 
 
 def pair_sum_modularity(graph: Graph, partition: Partition) -> float:
@@ -396,7 +399,47 @@ def log_rows(log) -> list[tuple]:
             user(log.sources[r]),
             user(log.targets[r]),
             user(log.authors[r]),
-            log.texts[r],
+            log.text(r),
         )
         for r in log.rows
     ]
+
+
+def reference_speech_analysis(
+    events: Sequence[tuple],
+    windows: Iterable,
+    membership: Mapping[str, str],
+    lexicon: Lexicon,
+    foundation_map: FoundationMap,
+    *,
+    include_shares: bool = False,
+) -> list:
+    """run_speech_analysis over naive_events tuples: each community's corpus
+    is the list of its speakers' texts, one string each, in file order."""
+    axes = tuple(foundation_map.axes)
+    criteria = tuple(CriterionSpec(a, Direction.HIGHER_IS_MORE_RADICAL) for a in axes)
+    reports = []
+    for window in windows:
+        docs: dict[str, list[str]] = defaultdict(list)
+        for _, kind, source, _, author, text in naive_slice(events, window.start, window.end):
+            speaker = author or source
+            if text and (include_shares or kind != "retweet") and speaker in membership:
+                docs[membership[speaker]].append(text)
+        scored = []
+        for label in sorted(set(membership.values())):
+            if docs[label]:
+                try:
+                    scored.append(score_corpus(lexicon, foundation_map, docs[label], label))
+                except EmptyCorpusError:
+                    pass
+        points = [ParetoPoint(s.community_label, tuple(s.per_foundation[a] for a in axes)) for s in scored]
+        frontier = pareto_frontier(points, criteria) if points else set()
+        reports.append(
+            SpeechReport(
+                window_label=window.label,
+                axes=axes,
+                communities=tuple(CommunitySpeech(s, s.community_label in frontier) for s in scored),
+                frontier=tuple(sorted(frontier)),
+            )
+        )
+    return reports

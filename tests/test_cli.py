@@ -1098,3 +1098,59 @@ def test_run_checks_the_foundation_map_before_ingest(tmp_path, capsys, fmap, nam
     assert not ingest.called
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("missing", ["events", "membership"])
+def test_run_with_a_missing_input_makes_no_out_dir(tmp_path, capsys, missing):
+    # The out dir was made before the events were read, so a missing input
+    # left an empty one behind.
+    config_path = write_run_dir(tmp_path)
+    (tmp_path / "membership.tsv").write_text("a00\ta\n", encoding="utf-8")
+    update_config(config_path, **{"membership": "membership.tsv", missing: "missing.jsonl"})
+    assert run_cli("run", "--config", config_path) == 2
+    assert "missing.jsonl" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# Each label below left a report cut short at itself, the speech report only
+# after the whole analysis: UTF-8 cannot encode a lone surrogate.
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_run_rejects_a_window_label_utf8_cannot_encode(tmp_path, capsys, source):
+    config_path = write_run_dir(tmp_path)
+    flags = []
+    if source == "config":
+        update_config(config_path, windows=[{"label": "\ud800", "start": "2022-09-19", "end": "2022-10-03"}])
+    else:
+        flags = ["--window", "\udcff:2022-09-19:2022-10-03"]  # an undecodable argv byte
+    with mock.patch("radscales.pipeline.ingest_events") as ingest:
+        assert run_cli("run", "--config", config_path, *flags) == 1
+    assert not ingest.called
+    assert "UTF-8 cannot encode" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_a_foundation_axis_utf8_cannot_encode(tmp_path, capsys):
+    config_path = write_run_dir(tmp_path)
+    (tmp_path / "map.json").write_text(json.dumps({"\ud800": ["FairnessVirtue"]}), encoding="utf-8")
+    update_config(config_path, foundationMap="map.json")
+    with mock.patch("radscales.pipeline.ingest_events") as ingest:
+        assert run_cli("run", "--config", config_path) == 2
+    assert not ingest.called
+    assert "axis '\\ud800'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "speech.json").exists()
+
+
+@pytest.mark.parametrize(
+    "payload, named",
+    [
+        ({"criteria": [HIGHER], "points": [{"label": "x", "values": [1]}, {"label": "\ud800", "values": [2]}]}, "point 1"),
+        ({"criteria": [{"name": "\udfff", "direction": "HIGHER_IS_MORE_RADICAL"}], "points": []}, "criterion 0"),
+    ],
+    ids=["point-label", "criterion-name"],
+)
+def test_pareto_rejects_a_label_utf8_cannot_encode(tmp_path, capsys, payload, named):
+    out = tmp_path / "frontier.json"
+    assert run_cli("pareto", "--points", write_points(tmp_path / "points.json", payload), "--out", out) == 2
+    err = capsys.readouterr().err
+    assert named in err and "UTF-8 cannot encode" in err
+    assert not out.exists()

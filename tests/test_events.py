@@ -2,7 +2,6 @@ import gc
 import json
 import random
 import tracemalloc
-from array import array
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -235,17 +234,22 @@ def test_slice_keeps_file_order_of_unsorted_input():
 
 @pytest.mark.parametrize("shuffle", [False, True])
 def test_time_index_equals_the_keyed_stable_sort(shuffle):
-    # A time column already in order skips the sort; either way, tied times
-    # keep file order.
+    # A time column already in order is its own index: the order is a range
+    # and the sorted times are the column, uncopied, so a window's rows are a
+    # range. Either way, tied times keep file order.
     rng = random.Random(23)
     stamps = sorted(f"2022-09-2{rng.randrange(3)}T0{rng.randrange(3)}:00:00Z" for _ in range(60))
     if shuffle:
         rng.shuffle(stamps)
     log = ingest_events(record(source=f"u{i}", target="v", timestamp=t, kind="retweet") for i, t in enumerate(stamps))
     times = log.times
-    assert log.order == array("i", sorted(range(len(times)), key=times.__getitem__))
-    assert log.sorted_times == array("q", sorted(times))
-    assert (log.order.typecode, log.sorted_times.typecode) == ("i", "q")
+    assert list(log.order) == sorted(range(len(times)), key=times.__getitem__)
+    assert list(log.sorted_times) == sorted(times)
+    rows = slice_window(log, WindowSpec.from_strings("w", "2022-09-21", "2022-09-22")).rows
+    if shuffle:
+        assert (log.order.typecode, log.sorted_times.typecode, rows.typecode) == ("i", "q", "i")
+    else:
+        assert log.order == range(len(times)) and log.sorted_times is times and type(rows) is range
 
 
 BASE = datetime(2022, 9, 20, 10, tzinfo=timezone.utc)
@@ -329,6 +333,29 @@ def test_store_and_slices_equal_naive_oracle(lines, outer, inner):
     assert log_rows(again) == naive_slice(naive_slice(expected, *outer), *inner)
 
 
+# Text pieces that a per-character str width or a UTF-8 round trip could get
+# wrong: lone surrogates (written as JSON escapes, in both orders around an
+# astral character), astral and CJK characters, and Unicode whitespace that
+# str.split() splits on, among ASCII words and spaces.
+TEXT_PIECES = ["ordem", "justo", " ", "\ud800", "\udfff", "\ude00\ud83d", "\U0001f600", "\xa0", "\u3000", "\n", "ç", "中"]
+column_texts = st.lists(st.sampled_from(TEXT_PIECES), max_size=6).map("".join) | st.sampled_from(["", " \u3000 ", None])
+text_records = st.fixed_dictionaries(
+    {"timestamp": stamps, "kind": st.sampled_from(EVENT_KINDS), "author": users, "source": users | absent},
+    optional={"target": users | absent, "text": column_texts},
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(text_records.map(json.dumps), max_size=30))
+def test_text_column_equals_naive_oracle(lines):
+    expected, _ = naive_events(lines)
+    if not expected:
+        return
+    log = ingest_events(lines)
+    assert [log.text(r) for r in log.rows] == [event[5] for event in expected]
+    assert log.text_offsets[-1] == len(log.text_bytes)
+
+
 def test_store_keeps_under_100_bytes_per_event():
     rng = random.Random(20)
     start = parse_timestamp("2022-09-20")
@@ -352,6 +379,31 @@ def test_store_keeps_under_100_bytes_per_event():
         tracemalloc.stop()
     assert len(log) == 20_000
     assert retained / len(log) < 100
+
+
+@pytest.mark.parametrize("emoji", ["", "\U0001f600"], ids=["ascii", "one-emoji"])
+def test_store_keeps_posts_under_their_utf8_bytes_plus_60_bytes_each(emoji):
+    # A str per text held about 50 B of header each and, with one emoji, 4
+    # bytes per character; the buffer holds the UTF-8 bytes alone.
+    rng = random.Random(21)
+    start = parse_timestamp("2022-09-20")
+    posts = ["".join(rng.choice("abcdefgh ") for _ in range(100 - len(emoji))) + emoji for _ in range(20_000)]
+    lines = [
+        record(author=f"u{rng.randrange(500)}", text=post, timestamp=(start + timedelta(seconds=i)).isoformat(), kind="other")
+        for i, post in enumerate(posts)
+    ]
+    utf8_bytes = sum(len(post.encode("utf-8")) for post in posts)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log = ingest_events(lines)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert [log.text(r) for r in (0, 19_999)] == [posts[0], posts[19_999]]
+    assert (retained - utf8_bytes) / len(log) < 60
 
 
 def _ingested_micros(stamp: str) -> int | None:

@@ -32,7 +32,9 @@ from radscales.graph import Graph, build_graph, sorted_rows
 from radscales.pareto import CriterionSpec, Direction, ParetoPoint, pareto_frontier
 from radscales.pipeline import RUN_KEYS, RunConfig, _interaction_graph, detect_membership, emit_plot_data, run
 
-from .oracles import log_rows, membership_first_graph, partition_path_window, sorted_induced_rows
+from .oracles import (
+    log_rows, membership_first_graph, naive_events, partition_path_window, reference_speech_analysis, sorted_induced_rows
+)
 from .streams import POST_TEMPLATES, RUN_DIR_SHA256, TEST_DIC, stream_windows, write_run_dir, write_stream, written_sha256
 
 
@@ -838,3 +840,52 @@ def test_run_builds_no_graph(tmp_path, monkeypatch):
     config = write_run_dir(tmp_path)
     run(RunConfig.from_json(json.loads(config.read_text(encoding="utf-8")), tmp_path))
     assert written_sha256(tmp_path / "out") == RUN_DIR_SHA256
+
+
+# Words of TEST_DIC and others, and whitespace that str.split() splits on,
+# beside characters that a UTF-8 round trip could get wrong: lone surrogates
+# (JSON escapes, in both orders around an astral character) and astral ones.
+SPEECH_PIECES = ["ordem", "justo", "leal", "impuro", "hoje", "www.x.com/ordem", "@ordem", " ", "\xa0", "\u3000", "\n",
+                 "\ud800", "\ude00\ud83d", "\U0001f600", "ção"]
+speech_texts = st.lists(st.sampled_from(SPEECH_PIECES), max_size=8).map("".join)  # empty and whitespace-only too
+speech_records = st.fixed_dictionaries(
+    {
+        "timestamp": st.sampled_from(["2022-09-20T00:00:00Z", "2022-09-21T00:00:00Z", "2022-09-22T00:00:00Z"]),
+        "kind": st.sampled_from(EVENT_KINDS),
+        "source": st.sampled_from(["u0", "u1", "u2", "u3"]),
+    },
+    optional={"author": st.sampled_from(["u0", "u1", "u4", ""]), "target": st.sampled_from(["u1", "u2"]), "text": speech_texts},
+)
+SPEECH_WINDOWS = [WindowSpec.from_strings("w1", "2022-09-20", "2022-09-22"), WindowSpec.from_strings("w2", "2022-09-19", "2022-09-23")]
+SPEECH_MEMBERSHIP = {"u0": "a", "u1": "a", "u2": "b", "u4": "c"}
+
+
+def _speech_equals_reference(lines, **options):
+    lexicon = parse_mfd_dic(io.StringIO(TEST_DIC))
+    events, _ = naive_events(lines)
+    log = ingest_events(lines)
+    got = run_speech_analysis(log, SPEECH_WINDOWS, SPEECH_MEMBERSHIP, lexicon, FoundationMap.default(), **options)
+    assert got == reference_speech_analysis(events, SPEECH_WINDOWS, SPEECH_MEMBERSHIP, lexicon, FoundationMap.default(), **options)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(speech_records.map(json.dumps), min_size=1, max_size=25), st.booleans())
+def test_speech_equals_scoring_per_text_strings(lines, include_shares):
+    # The corpora are decoded from the event log's text buffer in batches of
+    # space-joined texts; the scores must equal those of the texts as strings.
+    lines = [*lines, json.dumps({"source": "u0", "target": "u1", "timestamp": "2022-09-20T00:00:00Z", "kind": "reply"})]
+    _speech_equals_reference(lines, include_shares=include_shares)
+
+
+def test_speech_of_corpora_longer_than_one_batch_equals_scoring_per_text_strings():
+    rng = random.Random(25)
+    lines = [
+        json.dumps({
+            "author": rng.choice(["u0", "u1", "u2", "u4"]),
+            "text": "".join(rng.choice(SPEECH_PIECES) for _ in range(rng.randrange(12))),
+            "timestamp": f"2022-09-2{rng.randrange(3)}T00:00:00Z",
+            "kind": rng.choice(EVENT_KINDS),
+        })
+        for _ in range(2_000)
+    ]
+    _speech_equals_reference(lines)
