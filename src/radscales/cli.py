@@ -21,7 +21,7 @@ from .community import DetectionConfig, detect
 from .domination import _check_rho, _greedy_sweep
 from .errors import ConfigError, MalformedLineError, RadscalesError
 from .events import EVENT_KINDS, WindowSpec, ingest_events, parse_timestamp
-from .graph import community_rows, load_edge_list, load_partition, read_json, write_edge_list, write_partition
+from .graph import community_rows, load_edge_list, load_partition, read_json, utf8_encodable, write_edge_list, write_partition
 from .lexicon import load_foundation_map, parse_mfd_dic, score_by_community
 from .modularity import d_modularity_report
 from .pareto import pareto_frontier, read_points
@@ -176,6 +176,8 @@ def _cmd_lexicon_score(args) -> int:
                 isinstance(record.get(key), str) for key in ("community", "text")
             ):
                 raise MalformedLineError(line_no, "expected {community, text} record of strings")
+            if not utf8_encodable(record["community"]):
+                raise MalformedLineError(line_no, f"community {record['community']!r} cannot be written: UTF-8 cannot encode it")
             docs.setdefault(record["community"], []).append(record["text"])
     scores = score_by_community(lexicon, foundation_map, docs)
     _write_payload([s.to_dict() for s in scores], args.out)

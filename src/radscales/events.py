@@ -6,8 +6,8 @@ edges, e.g. retweets); document records carry author and text. A single
 record may be both. Invalid records, among them those with a user id that
 membership.tsv could not hold, are counted and skipped, never fatal unless
 nothing valid remains. An EventLog keeps the records as columns in file
-order, the texts as one UTF-8 buffer; a time window is a bisect range of
-their stable time order.
+order, each text only as the lexicon match set of each of its tokens; a time
+window is a bisect range of their stable time order.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from itertools import islice
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import ConfigError, NoEventsError
-from .lexicon import tokenize
+from .graph import strip_bom
+from .lexicon import Lexicon, tokenize
 
 EVENT_KINDS = ("retweet", "reply", "mention", "other")
 # Types a record's source, target, author and text may have: absent is None.
@@ -37,7 +38,6 @@ _UNPORTABLE_USER = re.compile(r"[\t\r\n\ud800-\udfff]|\A[\s#]|\s\Z")
 # day in range; parse_timestamp reads its date, every other form whole.
 _CANONICAL_STAMP = re.compile(r"([0-9]{4}-[0-9]{2}-[0-9]{2})T([01][0-9]|2[0-3]):([0-5][0-9]):([0-5][0-9])Z")
 _TWO_DIGITS = {f"{n:02d}": n for n in range(60)}  # every hour, minute and second the regex admits
-_TEXT_BATCH = 256  # texts decoded into one string by EventLog.text_batches
 
 
 def check_kinds(kinds: Iterable[str]) -> set[str]:
@@ -81,11 +81,13 @@ class EventLog:
 
     ``times`` holds UTC microseconds since the epoch, ``kinds`` indices into
     EVENT_KINDS, and ``sources``/``targets``/``authors`` indices into
-    ``users`` (-1 when absent). Row ``r``'s text is the UTF-8 (surrogatepass)
-    span ``text_bytes[text_offsets[r]:text_offsets[r + 1]]``, empty when it
-    has none. ``rows`` lists the row numbers this log covers, in file order:
-    every row for an ingested log, a window's rows for a slice, which shares
-    the columns.
+    ``users`` (-1 when absent). Texts are kept only when ingested with a
+    ``lexicon``: ``has_text[r]`` says whether row ``r`` has one, and its
+    tokens' match-set ids (see Lexicon.text_ids) are
+    ``token_sets[token_offsets[r]:token_offsets[r + 1]]``, a bytearray while
+    at most 256 match sets are numbered and an ``array("i")`` after. ``rows``
+    lists the row numbers this log covers, in file order: every row for an
+    ingested log, a window's rows for a slice, which shares the columns.
     """
 
     def __init__(self):
@@ -94,8 +96,10 @@ class EventLog:
         self.sources = array("i")
         self.targets = array("i")
         self.authors = array("i")
-        self.text_bytes = bytearray()
-        self.text_offsets = array("q", [0])
+        self.lexicon: Lexicon | None = None
+        self.has_text = bytearray()
+        self.token_sets: bytearray | array = bytearray()
+        self.token_offsets = array("q", [0])
         self._user_ids: dict[str, int] = {}
         self.skipped = 0
         self._index()
@@ -118,23 +122,6 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def text(self, row: int) -> str | None:
-        """The text of *row*, or None when it has none."""
-        lo, hi = self.text_offsets[row], self.text_offsets[row + 1]
-        return self.text_bytes[lo:hi].decode("utf-8", "surrogatepass") if hi > lo else None
-
-    def text_batches(self, rows: Sequence[int]) -> Iterator[str]:
-        """The texts of *rows*, _TEXT_BATCH at a time, each batch joined by spaces into one string.
-
-        The space keeps every whitespace chunk (``str.split()``) of a text
-        apart from its neighbours'. One decode per batch costs what one per
-        corpus does, while a batch bounds the decoded string's memory.
-        """
-        view, offsets = memoryview(self.text_bytes), self.text_offsets
-        for i in range(0, len(rows), _TEXT_BATCH):
-            batch = rows[i:i + _TEXT_BATCH]
-            yield b" ".join([view[offsets[r]:offsets[r + 1]] for r in batch]).decode("utf-8", "surrogatepass")
 
 
 @dataclass(frozen=True)
@@ -160,21 +147,25 @@ def ingest_events(
     *,
     kinds: Iterable[str] | None = None,
     keywords: Iterable[str] | None = None,
+    lexicon: Lexicon | None = None,
 ) -> EventLog:
     """Read a JSONL event stream, counting and skipping invalid records.
 
     ``kinds`` keeps only the given interaction kinds (see check_kinds);
     ``keywords`` keeps only events whose text contains at least one keyword as
-    a token (case-insensitive). Raises NoEventsError when nothing valid remains.
+    a token (case-insensitive). Texts are kept, as match-set ids, only with a
+    ``lexicon``. One leading U+FEFF (a byte-order mark) on the first line is
+    dropped. Raises NoEventsError when nothing valid remains.
     """
     wanted_kinds = check_kinds(kinds) if kinds is not None else None
     wanted_words = {w.lower() for w in keywords} if keywords is not None else None
     log = EventLog()
     ids, unportable, canonical = log._user_ids, _UNPORTABLE_USER.search, _CANONICAL_STAMP.fullmatch
-    text_bytes, text_offsets = log.text_bytes, log.text_offsets
+    log.lexicon = lexicon
+    has_text, token_sets, token_offsets = log.has_text, log.token_sets, log.token_offsets
     decode = json.JSONDecoder().raw_decode
     day_micros: dict[str, int] = {}  # date -> micros of its midnight, for canonical stamps
-    for raw in stream:
+    for raw in strip_bom(stream):
         line = raw.strip(" \t\n\r")  # as json.loads: only JSON whitespace may surround a record
         if not line or line.isspace():
             continue
@@ -222,9 +213,14 @@ def ingest_events(
         log.sources.append(ids.setdefault(source, len(ids)) if source else -1)
         log.targets.append(ids.setdefault(target, len(ids)) if target else -1)
         log.authors.append(ids.setdefault(author, len(ids)) if author else -1)
-        if text:
-            text_bytes += text.encode("utf-8", "surrogatepass")
-        text_offsets.append(len(text_bytes))
+        if lexicon is not None:
+            if text:
+                set_ids = lexicon.text_ids(text)
+                if type(set_ids) is tuple and type(token_sets) is bytearray:  # more than 256 match sets: widen once
+                    token_sets = log.token_sets = array("i", iter(token_sets))
+                token_sets.extend(set_ids)
+            has_text.append(bool(text))
+            token_offsets.append(len(token_sets))
     if not log.times:
         raise NoEventsError("no valid event records after filtering")
     log._index()

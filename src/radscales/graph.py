@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import IO, Hashable, Iterable, Iterator, Sequence
 
@@ -177,10 +178,10 @@ def read_pairs(stream: IO[str] | Iterable[str]) -> Iterator[tuple[str, str]]:
 
     Fields are TAB-separated if the line has a TAB, otherwise
     whitespace-separated. Blank lines and lines starting with '#' are
-    skipped. Raises MalformedLineError for lines with other than two
-    non-empty fields.
+    skipped, and so is one leading U+FEFF on the first line. Raises
+    MalformedLineError for lines with other than two non-empty fields.
     """
-    for line_no, raw in enumerate(stream, start=1):
+    for line_no, raw in enumerate(strip_bom(stream), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -188,6 +189,12 @@ def read_pairs(stream: IO[str] | Iterable[str]) -> Iterator[tuple[str, str]]:
         if len(fields) != 2 or not all(fields):
             raise MalformedLineError(line_no, f"expected two fields, got {len(fields)}")
         yield fields[0], fields[1]
+
+
+def strip_bom(lines: Iterable[str]) -> Iterator[str]:
+    """*lines* with one leading U+FEFF (a UTF-8 byte-order mark) removed from the first."""
+    lines = iter(lines)
+    return chain([next(lines, "").removeprefix("\ufeff")], lines)
 
 
 _SURROGATE = re.compile("[\ud800-\udfff]")

@@ -56,7 +56,8 @@ class Lexicon:
     _prefixes: dict[str, list[tuple[str, frozenset[int]]]] = field(
         init=False, repr=False, compare=False
     )
-    _memo: dict[str, frozenset[int]] = field(init=False, repr=False, compare=False)
+    _memo: dict[str, bytes | tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    _set_ids: dict[frozenset[int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         exact: dict[str, set[int]] = {}
@@ -78,21 +79,41 @@ class Lexicon:
                 for ch, bucket in prefixes.items()
             },
         )
-        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_memo", {})  # whitespace chunk -> its tokens' match-set ids
+        object.__setattr__(self, "_set_ids", {})  # match set -> its id, in first-seen order
 
     def category_ids_for(self, token: str) -> frozenset[int]:
-        """All category ids the token matches (exact or prefix).
+        """All category ids the token matches (exact or prefix)."""
+        found: set[int] = set(self._exact.get(token, ()))
+        for pattern, pattern_ids in self._prefixes.get(token[:1], ()):
+            if token.startswith(pattern):
+                found.update(pattern_ids)
+        return frozenset(found)
 
-        Each distinct token is looked up once per lexicon and remembered,
-        so the memo grows with the vocabulary of the texts scored.
-        """
-        ids = self._memo.get(token)
-        if ids is None:
-            found: set[int] = set(self._exact.get(token, ()))
-            for pattern, pattern_ids in self._prefixes.get(token[:1], ()):
-                if token.startswith(pattern):
-                    found.update(pattern_ids)
-            ids = self._memo[token] = frozenset(found)
+    def match_sets(self) -> list[frozenset[int]]:
+        """The match set of each match-set id: the distinct category_ids_for results, in first-seen order."""
+        return list(self._set_ids)
+
+    def text_ids(self, text: str) -> bytes | tuple[int, ...]:
+        """The match-set id of each token of *text*, in order; bytes while at most 256 sets are numbered.
+        No token crosses whitespace, so each chunk is matched once and remembered unless it holds a URL or @-handle."""
+        chunks, memo = text.split(), self._memo
+        try:
+            return b"".join(map(memo.get, chunks))
+        except TypeError:  # a chunk not in the memo, or one whose ids are a tuple
+            parts = [memo[chunk] if chunk in memo else self._chunk_ids(chunk) for chunk in chunks]
+        return b"".join(parts) if len(self._set_ids) <= 256 else tuple(chain.from_iterable(parts))
+
+    def _chunk_ids(self, chunk: str) -> bytes | tuple[int, ...]:
+        runs, plain = _chunk_runs(chunk)
+        if not (runs or plain):  # URLs and handles alone: nothing to number or remember
+            return b""
+        set_ids = self._set_ids
+        # Each run is lowercased on its own: "İ" lowercases to "i" plus a combining dot.
+        numbers = [set_ids.setdefault(self.category_ids_for(run.lower()), len(set_ids)) for run in runs]
+        ids = bytes(numbers) if len(set_ids) <= 256 else tuple(numbers)
+        if plain:
+            self._memo[chunk] = ids
         return ids
 
     def ids_for_names(self, names: Iterable[str]) -> frozenset[int]:
@@ -216,58 +237,47 @@ def parse_mfd_dic(stream: IO[str] | Iterable[str]) -> Lexicon:
     return Lexicon(categories=categories, entries=tuple(entries))
 
 
-def _chunk_runs(chunk: str) -> Sequence[str]:
-    """Letter runs of one whitespace chunk outside URLs and @-handles, case
-    preserved. A letter-only chunk is its own run and skips the regexes."""
+def _chunk_runs(chunk: str) -> tuple[Sequence[str], bool]:
+    """Letter runs of one whitespace chunk outside URLs and @-handles, case preserved, and whether
+    it holds neither (each becomes one space, and every match is longer than that). A letter-only
+    chunk is its own run and skips the regexes."""
     if chunk.isalpha():
-        return (chunk,)
-    return _WORD_RE.findall(_HANDLE_RE.sub(" ", _URL_RE.sub(" ", chunk)))
+        return (chunk,), True
+    rest = _HANDLE_RE.sub(" ", _URL_RE.sub(" ", chunk))
+    return _WORD_RE.findall(rest), len(rest) == len(chunk)
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercased letter-sequence tokens; URLs, @-handles, digits and
     punctuation are dropped, diacritics preserved."""
-    return [run.lower() for chunk in text.split() for run in _chunk_runs(chunk)]
+    return [run.lower() for chunk in text.split() for run in _chunk_runs(chunk)[0]]
 
 
-def score_corpus(
-    lexicon: Lexicon,
-    foundation_map: FoundationMap,
-    docs: Iterable[str],
-    label: str,
-) -> FoundationScores:
-    """Axis frequencies over a corpus: matched tokens / total tokens.
+def score_counts(lexicon: Lexicon, foundation_map: FoundationMap, counts: Mapping[int, int], label: str) -> FoundationScores:
+    """Axis frequencies of a corpus whose tokens fall *counts[i]* times in match set *i*.
 
     A token matching several categories of one axis still counts once for
     that axis. Raises EmptyCorpusError when the corpus has no tokens.
     """
     axis_ids = foundation_map.axis_ids(lexicon)
-    # No URL, handle or letter run crosses whitespace, so each distinct
-    # whitespace chunk is tokenized once (a corpus joined into one string would
-    # hold a list of all its chunks at once). Each run is lowercased on its own:
-    # lowercasing can change the runs ("İ" becomes "i" plus a combining dot).
-    chunks = Counter(chain.from_iterable(map(str.split, docs)))
-    hits: dict[frozenset[int], int] = {}
-    memo = lexicon._memo
-    for chunk, count in chunks.items():
-        # Most chunks are letters only, their own single run, and looked up before.
-        if chunk.isalpha() and (matched := memo.get(chunk.lower())) is not None:
-            hits[matched] = hits.get(matched, 0) + count
-            continue
-        for run in _chunk_runs(chunk):
-            matched = lexicon.category_ids_for(run.lower())
-            hits[matched] = hits.get(matched, 0) + count
-    token_count = sum(hits.values())
+    token_count = sum(counts.values())
     if token_count == 0:
         raise EmptyCorpusError(label)
+    sets = lexicon.match_sets()
     return FoundationScores(
         community_label=label,
         token_count=token_count,
         per_foundation={
-            axis: sum(count for matched, count in hits.items() if matched & ids) / token_count
+            axis: sum(count for i, count in counts.items() if sets[i] & ids) / token_count
             for axis, ids in axis_ids.items()
         },
     )
+
+
+def score_corpus(lexicon: Lexicon, foundation_map: FoundationMap, docs: Iterable[str], label: str) -> FoundationScores:
+    """Axis frequencies over a corpus: matched tokens / total tokens (see score_counts)."""
+    counts = Counter(chain.from_iterable(map(lexicon.text_ids, docs)))
+    return score_counts(lexicon, foundation_map, counts, label)
 
 
 def score_by_community(

@@ -16,6 +16,7 @@ import json
 import logging
 import re
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
@@ -25,7 +26,7 @@ from .domination import _check_rho, _greedy_sweep
 from .errors import ConfigError, DuplicateAssignmentError, EmptyCorpusError, EmptyGraphError, NoEventsError
 from .events import EVENT_KINDS, EventLog, WindowSpec, _interaction_pairs, check_kinds, ingest_events, slice_window
 from .graph import Partition, community_rows, read_pairs, sorted_rows, utf8_encodable
-from .lexicon import FoundationMap, FoundationScores, Lexicon, load_foundation_map, parse_mfd_dic, score_corpus
+from .lexicon import FoundationMap, FoundationScores, Lexicon, load_foundation_map, parse_mfd_dic, score_counts
 from .modularity import _contributions, _relative
 from .pareto import CriterionSpec, Direction, ParetoPoint, _is_number, pareto_frontier
 
@@ -312,7 +313,9 @@ def _structural_window_report(
     min_size = config.min_community_size
     resolved_min = resolution_size_threshold(len(edges)) if min_size == AUTO else int(min_size)
     grouped, kept = filter_by_size(partition, resolved_min)
-    if not kept:
+    if not dense:
+        logger.warning("window %s: none of its users has a membership; it has no community", window.label)
+    elif not kept:
         logger.warning(
             "window %s: none of its %d groups reaches the minimum community size "
             "%d (%s); all fold into 'other'",
@@ -410,19 +413,23 @@ def run_speech_analysis(
     behavioral signal, not the speaker's own words); ``include_shares``
     adds retweet text to the sharer's corpus. Communities with an empty
     corpus in a window are dropped with a warning. All axes point in the
-    higher-is-more-radical direction.
+    higher-is-more-radical direction. *events* must be ingested with
+    *lexicon* (ValueError otherwise), whose match-set ids each corpus counts.
     """
+    if lexicon is not events.lexicon:
+        raise ValueError("the events were not ingested with this lexicon: pass it to ingest_events")
     axes = tuple(foundation_map.axes)
     criteria = tuple(CriterionSpec(a, Direction.HIGHER_IS_MORE_RADICAL) for a in axes)
     community_labels = sorted(set(membership.values()))
     code = {label: i for i, label in enumerate(community_labels)}
     community_of = [code[membership[u]] if u in membership else -1 for u in events.users]
     reports: list[SpeechReport] = []
-    offsets, kinds, authors, sources = events.text_offsets, events.kinds, events.authors, events.sources
+    has_text, offsets, kinds, authors, sources = events.has_text, events.token_offsets, events.kinds, events.authors, events.sources
+    view = memoryview(events.token_sets)
     for window in windows:
         docs = [array("i") for _ in community_labels]  # each community's rows with text
         for r in slice_window(events, window).rows:
-            if offsets[r] == offsets[r + 1]:
+            if not has_text[r]:
                 continue
             if kinds[r] == _RETWEET and not include_shares:
                 continue
@@ -433,20 +440,13 @@ def run_speech_analysis(
         scored: list[FoundationScores] = []
         for label, rows in zip(community_labels, docs):
             if not rows:
-                logger.warning(
-                    "window %s: community %s has an empty corpus; dropped",
-                    window.label,
-                    label,
-                )
+                logger.warning("window %s: community %s has an empty corpus; dropped", window.label, label)
                 continue
+            ids = memoryview(b"".join([view[offsets[r]:offsets[r + 1]] for r in rows])).cast(view.format)
             try:
-                scored.append(score_corpus(lexicon, foundation_map, events.text_batches(rows), label))
+                scored.append(score_counts(lexicon, foundation_map, Counter(ids), label))
             except EmptyCorpusError:
-                logger.warning(
-                    "window %s: community %s has no tokens; dropped",
-                    window.label,
-                    label,
-                )
+                logger.warning("window %s: community %s has no tokens; dropped", window.label, label)
         points = [
             ParetoPoint(
                 label=s.community_label,
@@ -525,13 +525,16 @@ def write_json(payload: object, path: Path) -> None:
 def run(config: RunConfig) -> None:
     """Check the lexicon and foundation map, ingest, read or detect the membership, then write the
     structural and, with a lexicon, the speech reports of each window into ``config.out_dir``."""
+    lexicon = None
     if config.lexicon:
         with config.lexicon.open("r", encoding="utf-8") as fh:
             lexicon = parse_mfd_dic(fh)
         foundation_map = load_foundation_map(config.foundation_map)
         foundation_map.axis_ids(lexicon)  # every axis hits the lexicon
     with config.events.open("r", encoding="utf-8") as fh:
-        events = ingest_events(fh, keywords=config.keywords)
+        events = ingest_events(fh, keywords=config.keywords, lexicon=lexicon)
+    if events.skipped:
+        logger.warning("%s: skipped %d invalid event records", config.events, events.skipped)
     if config.membership:
         with config.membership.open("r", encoding="utf-8") as fh:
             membership, result = read_membership(fh), None
@@ -550,7 +553,7 @@ def run(config: RunConfig) -> None:
     for report in structural:
         emit_plot_data(report, out_dir)
 
-    if config.lexicon:
+    if lexicon is not None:
         speech = run_speech_analysis(
             events, config.windows, membership, lexicon, foundation_map, include_shares=config.include_shares
         )

@@ -2,10 +2,13 @@
 against. Deliberately naive: these follow the defining formulas directly and
 share no code path with the library, except partition_path_window, which
 keeps a replaced composition of the library's public pieces, log_rows,
-which reads an EventLog's columns back as one tuple per row,
+which reads an EventLog's columns back as one tuple per row, naive_events,
+which gives a text as its tokens' match sets with the library's tokenize
+and Lexicon.category_ids_for,
 reference_local_move, the Louvain local move that evaluates every vertex on
 every sweep, and reference_speech_analysis, which scores each community's
-texts as a list of strings with the library's score_corpus."""
+texts token by token with the library's tokenize and
+Lexicon.category_ids_for."""
 
 from __future__ import annotations
 
@@ -20,9 +23,9 @@ from typing import Container, Iterable, Mapping, Sequence
 
 from radscales.community import filter_by_size, resolution_size_threshold
 from radscales.domination import greedy_partial_dominating_set
-from radscales.errors import EmptyCorpusError, NoEventsError
+from radscales.errors import NoEventsError
 from radscales.graph import Graph, Partition
-from radscales.lexicon import FoundationMap, Lexicon, score_corpus
+from radscales.lexicon import FoundationMap, FoundationScores, Lexicon, tokenize
 from radscales.modularity import d_modularity_report
 from radscales.pareto import CriterionSpec, Direction, ParetoPoint, pareto_frontier
 from radscales.pipeline import CommunitySpeech, SpeechReport
@@ -326,13 +329,16 @@ def sorted_induced_rows(graph: Graph, vertices: Iterable[int]) -> tuple[tuple[in
     )
 
 
-def naive_events(lines: Iterable[str]) -> tuple[list[tuple], int]:
+def naive_events(lines: Iterable[str], lexicon: Lexicon | None = None) -> tuple[list[tuple], int]:
     """Valid records of a JSONL stream, one (timestamp, kind, source, target,
     author, text) tuple per record in file order, and the number of invalid
-    records, read one record at a time straight from the documented rules."""
+    records, read one record at a time straight from the documented rules.
+    With a *lexicon*, each text is the list of its tokens' match sets."""
     events: list[tuple] = []
     skipped = 0
-    for line in lines:
+    for i, line in enumerate(lines):
+        if i == 0 and line.startswith("\ufeff"):  # one byte-order mark
+            line = line[1:]
         if not line.strip():
             continue
         try:
@@ -343,6 +349,8 @@ def naive_events(lines: Iterable[str]) -> tuple[list[tuple], int]:
         event = _naive_event(record)
         if event is None:
             skipped += 1
+        elif lexicon is not None and event[5] is not None:
+            events.append((*event[:5], [lexicon.category_ids_for(token) for token in tokenize(event[5])]))
         else:
             events.append(event)
     return events, skipped
@@ -386,11 +394,18 @@ def naive_slice(events: Iterable[tuple], start: datetime, end: datetime) -> list
 
 def log_rows(log) -> list[tuple]:
     """One (timestamp, kind, source, target, author, text) tuple per row of an
-    EventLog or window, in its row order, read straight from the columns."""
+    EventLog or window, in its row order, read straight from the columns; the
+    text is the list of its tokens' match sets, None without a text or a lexicon."""
     epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    sets = log.lexicon.match_sets() if log.lexicon is not None else []
 
     def user(index: int) -> str | None:
         return log.users[index] if index >= 0 else None
+
+    def text(r: int) -> list | None:
+        if log.lexicon is None or not log.has_text[r]:
+            return None
+        return [sets[i] for i in log.token_sets[log.token_offsets[r]:log.token_offsets[r + 1]]]
 
     return [
         (
@@ -399,7 +414,7 @@ def log_rows(log) -> list[tuple]:
             user(log.sources[r]),
             user(log.targets[r]),
             user(log.authors[r]),
-            log.text(r),
+            text(r),
         )
         for r in log.rows
     ]
@@ -415,7 +430,8 @@ def reference_speech_analysis(
     include_shares: bool = False,
 ) -> list:
     """run_speech_analysis over naive_events tuples: each community's corpus
-    is the list of its speakers' texts, one string each, in file order."""
+    is the list of its speakers' texts, one string each, in file order, and
+    its scores count the match set of each of its tokens in turn."""
     axes = tuple(foundation_map.axes)
     criteria = tuple(CriterionSpec(a, Direction.HIGHER_IS_MORE_RADICAL) for a in axes)
     reports = []
@@ -428,10 +444,13 @@ def reference_speech_analysis(
         scored = []
         for label in sorted(set(membership.values())):
             if docs[label]:
-                try:
-                    scored.append(score_corpus(lexicon, foundation_map, docs[label], label))
-                except EmptyCorpusError:
-                    pass
+                matches = [lexicon.category_ids_for(token) for text in docs[label] for token in tokenize(text)]
+                if matches:
+                    frequencies = {
+                        axis: sum(1 for matched in matches if matched & ids) / len(matches)
+                        for axis, ids in foundation_map.axis_ids(lexicon).items()
+                    }
+                    scored.append(FoundationScores(label, len(matches), frequencies))
         points = [ParetoPoint(s.community_label, tuple(s.per_foundation[a] for a in axes)) for s in scored]
         frontier = pareto_frontier(points, criteria) if points else set()
         reports.append(

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import os
 import random
 import shutil
@@ -239,6 +240,17 @@ def test_lexicon_score_rejects_badly_typed_records(tmp_path, capsys, bad):
     docs.write_text(f"{good}\n{json.dumps(bad)}\n", encoding="utf-8")
     assert run_cli("lexicon-score", "--dic", dic, "--docs", docs) == 2
     assert "line 2: expected {community, text} record" in capsys.readouterr().err
+
+
+def test_lexicon_score_rejects_a_label_utf8_cannot_encode_before_writing(tmp_path, capsys):
+    dic = tmp_path / "test.dic"
+    dic.write_text(TEST_DIC, encoding="utf-8")
+    docs = tmp_path / "docs.jsonl"
+    records = [{"community": "x", "text": "ordem"}, {"community": "\ud800", "text": "ordem"}]
+    docs.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    assert run_cli("lexicon-score", "--dic", dic, "--docs", docs, "--out", tmp_path / "scores.json") == 2
+    assert "line 2: community '\\ud800' cannot be written" in capsys.readouterr().err
+    assert not (tmp_path / "scores.json").exists()
 
 
 def test_pareto_command(tmp_path, capsys):
@@ -763,6 +775,21 @@ def test_ingest_and_run_skip_an_over_deep_line(tmp_path, capsys):
     assert run_cli("ingest", "--events", events) == 0
     assert json.loads(capsys.readouterr().out)["skipped"] == skipped + 1
     assert run_cli("run", "--config", config) == 0
+    assert written_sha256(tmp_path / "out") == RUN_DIR_SHA256
+
+
+def test_run_warns_of_the_records_ingest_skipped(tmp_path, caplog):
+    config = write_run_dir(tmp_path)
+    events = tmp_path / "events.jsonl"
+    with caplog.at_level(logging.WARNING):
+        assert run_cli("run", "--config", config) == 0
+    assert [m for m in caplog.messages if "skipped" in m] == []
+    with events.open("a", encoding="utf-8") as fh:
+        fh.write('{"kind": "retweet"}\n[1]\nnot json\n')
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        assert run_cli("run", "--config", config) == 0
+    assert [m for m in caplog.messages if "skipped" in m] == [f"{events}: skipped 3 invalid event records"]
     assert written_sha256(tmp_path / "out") == RUN_DIR_SHA256
 
 

@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import random
 import tracemalloc
@@ -10,14 +11,20 @@ from hypothesis import given, settings, strategies as st
 from radscales import (
     WindowSpec,
     ingest_events,
+    parse_mfd_dic,
     parse_timestamp,
     slice_window,
+    tokenize,
 )
 from radscales.errors import ConfigError, NoEventsError
 from radscales.events import EVENT_KINDS, _interaction_pairs
 from radscales.pipeline import _interaction_graph
 
 from .oracles import log_rows, naive_events, naive_slice
+from .streams import TEST_DIC
+
+# One lexicon for the whole module, so that most logs meet a warm chunk memo.
+LEXICON = parse_mfd_dic(io.StringIO(TEST_DIC))
 
 
 def record(**kwargs):
@@ -318,12 +325,12 @@ bounds = st.tuples(st.sampled_from(INSTANTS), st.sampled_from(INSTANTS)).filter(
 @settings(max_examples=200, deadline=None)
 @given(stream_lines, bounds, bounds)
 def test_store_and_slices_equal_naive_oracle(lines, outer, inner):
-    expected, skipped = naive_events(lines)
+    expected, skipped = naive_events(lines, LEXICON)
     if not expected:
         with pytest.raises(NoEventsError):
-            ingest_events(lines)
+            ingest_events(lines, lexicon=LEXICON)
         return
-    log = ingest_events(lines)
+    log = ingest_events(lines, lexicon=LEXICON)
     assert log.skipped == skipped
     assert log_rows(log) == expected
     window = slice_window(log, WindowSpec("outer", *outer))
@@ -333,11 +340,13 @@ def test_store_and_slices_equal_naive_oracle(lines, outer, inner):
     assert log_rows(again) == naive_slice(naive_slice(expected, *outer), *inner)
 
 
-# Text pieces that a per-character str width or a UTF-8 round trip could get
-# wrong: lone surrogates (written as JSON escapes, in both orders around an
-# astral character), astral and CJK characters, and Unicode whitespace that
-# str.split() splits on, among ASCII words and spaces.
-TEXT_PIECES = ["ordem", "justo", " ", "\ud800", "\udfff", "\ude00\ud83d", "\U0001f600", "\xa0", "\u3000", "\n", "ç", "中"]
+# Text pieces that the match-set column could get wrong: lone surrogates
+# (written as JSON escapes, in both orders around an astral character), astral
+# and CJK characters, Unicode whitespace that str.split() splits on, "İ" (which
+# lowercases to two code points), punctuation, digits, URLs and @-handles, among
+# words of the lexicon, in either case.
+TEXT_PIECES = ["ordem", "Justo", "leal", " ", "\ud800", "\udfff", "\ude00\ud83d", "\U0001f600", "\xa0", "\u3000", "\n",
+               "ç", "中", "İ", "!", ",", "7", "http://x.co/ordem", "www.leal.br", "@justo", "a@b"]
 column_texts = st.lists(st.sampled_from(TEXT_PIECES), max_size=6).map("".join) | st.sampled_from(["", " \u3000 ", None])
 text_records = st.fixed_dictionaries(
     {"timestamp": stamps, "kind": st.sampled_from(EVENT_KINDS), "author": users, "source": users | absent},
@@ -347,13 +356,21 @@ text_records = st.fixed_dictionaries(
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(text_records.map(json.dumps), max_size=30))
-def test_text_column_equals_naive_oracle(lines):
-    expected, _ = naive_events(lines)
+def test_match_set_column_equals_naive_oracle(lines):
+    # Each row keeps [LEXICON.category_ids_for(t) for t in tokenize(text)], or
+    # None without a text; a whitespace-only text keeps an empty list.
+    expected, _ = naive_events(lines, LEXICON)
     if not expected:
         return
-    log = ingest_events(lines)
-    assert [log.text(r) for r in log.rows] == [event[5] for event in expected]
-    assert log.text_offsets[-1] == len(log.text_bytes)
+    log = ingest_events(lines, lexicon=LEXICON)
+    assert [row[5] for row in log_rows(log)] == [event[5] for event in expected]
+    assert (len(log.has_text), log.token_offsets[-1]) == (len(log), len(log.token_sets))
+
+
+def test_without_a_lexicon_no_text_is_kept():
+    log = ingest_events(VALID)
+    assert (log.lexicon, len(log.has_text), len(log.token_sets), list(log.token_offsets)) == (None, 0, 0, [0])
+    assert [row[5] for row in log_rows(log)] == [None, None, None]
 
 
 def test_store_keeps_under_100_bytes_per_event():
@@ -382,28 +399,34 @@ def test_store_keeps_under_100_bytes_per_event():
 
 
 @pytest.mark.parametrize("emoji", ["", "\U0001f600"], ids=["ascii", "one-emoji"])
-def test_store_keeps_posts_under_their_utf8_bytes_plus_60_bytes_each(emoji):
-    # A str per text held about 50 B of header each and, with one emoji, 4
-    # bytes per character; the buffer holds the UTF-8 bytes alone.
+def test_store_keeps_posts_under_36_bytes_each_plus_a_byte_per_token(emoji):
+    # A post keeps its row (8 B of time, a kind byte, three 4-byte user ids, a
+    # has-text byte and an 8-byte token offset: 30 B, plus the columns' spare
+    # room and the 500 interned users) and one byte per token, which a bytearray
+    # over-allocates by at most an eighth; not its text, so an emoji costs
+    # nothing. The chunk memo belongs to the lexicon: one ingest beforehand fills it.
     rng = random.Random(21)
+    words = ["ordem", "Justo", "leal,", "lealdade", "hoje", "dia", "bom", "(puro)", "traidores!", "7", "voto", "nação"]
+    posts = [" ".join(rng.choice(words) for _ in range(rng.randrange(1, 40))) + emoji for _ in range(20_000)]
     start = parse_timestamp("2022-09-20")
-    posts = ["".join(rng.choice("abcdefgh ") for _ in range(100 - len(emoji))) + emoji for _ in range(20_000)]
     lines = [
         record(author=f"u{rng.randrange(500)}", text=post, timestamp=(start + timedelta(seconds=i)).isoformat(), kind="other")
         for i, post in enumerate(posts)
     ]
-    utf8_bytes = sum(len(post.encode("utf-8")) for post in posts)
+    tokens = sum(len(tokenize(post)) for post in posts)
+    lexicon = parse_mfd_dic(io.StringIO(TEST_DIC))
+    ingest_events(lines, lexicon=lexicon)
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        log = ingest_events(lines)
+        log = ingest_events(lines, lexicon=lexicon)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert [log.text(r) for r in (0, 19_999)] == [posts[0], posts[19_999]]
-    assert (retained - utf8_bytes) / len(log) < 60
+    assert (len(log), len(log.token_sets)) == (20_000, tokens)
+    assert retained < 36 * len(log) + 1.13 * tokens
 
 
 def _ingested_micros(stamp: str) -> int | None:
@@ -434,8 +457,8 @@ def test_canonical_shaped_stamps_equal_parse_timestamp(stamp):
 RECORD_LINE = record(source="a", target="b", timestamp="2022-09-20T10:00:00Z", kind="retweet")
 # Bodies json.loads may or may not read as one event record, and what may
 # surround them: Unicode whitespace (which str.strip removes and JSON does
-# not allow, so the record is skipped), a BOM, and trailing data such as a
-# second object.
+# not allow, so the record is skipped), a BOM (dropped only once, from the
+# start of the first line) and trailing data such as a second object.
 decode_lines = st.builds(
     str.__add__,
     st.builds(str.__add__, st.sampled_from(["", " ", "\t", "\ufeff", "\u3000", "\x85", "\xa0", "\x1c", "\u2028"]),
@@ -484,13 +507,24 @@ def test_unknown_kinds_are_a_usage_error(kinds):
 @pytest.mark.parametrize("space", ["\u3000", "\x85", "\xa0"])
 def test_only_json_whitespace_may_surround_a_record(space):
     lines = [space + VALID[0], VALID[1] + space, f" \t{VALID[2]}\r\n", space, f" {space}\t\n"]
-    log = ingest_events(lines)
-    assert (log_rows(log), log.skipped) == naive_events(lines)
+    log = ingest_events(lines, lexicon=LEXICON)
+    assert (log_rows(log), log.skipped) == naive_events(lines, LEXICON)
     assert (len(log), log.skipped) == (1, 2)  # the all-whitespace lines are blank, not counted
 
 
 def test_over_deep_line_is_counted_and_skipped():
     lines = [*VALID, "[" * 100_000 + "]" * 100_000 + "\n"]
-    log = ingest_events(lines)
-    assert (log_rows(log), log.skipped) == naive_events(lines)
-    assert (log_rows(log), log.skipped) == (log_rows(ingest_events(VALID)), 1)
+    log = ingest_events(lines, lexicon=LEXICON)
+    assert (log_rows(log), log.skipped) == naive_events(lines, LEXICON)
+    assert (log_rows(log), log.skipped) == (log_rows(ingest_events(VALID, lexicon=LEXICON)), 1)
+
+
+def test_a_leading_byte_order_mark_is_dropped(tmp_path):
+    path = tmp_path / "events.jsonl"
+    path.write_text("\n".join(VALID) + "\n", encoding="utf-8-sig")
+    with path.open(encoding="utf-8") as fh:
+        log = ingest_events(fh, lexicon=LEXICON)
+    assert (log_rows(log), log.skipped) == (log_rows(ingest_events(VALID, lexicon=LEXICON)), 0)
+    # only one, and only on the first line
+    for lines in (["\ufeff\ufeff" + VALID[0], *VALID[1:]], [VALID[0], "\ufeff" + VALID[1], VALID[2]]):
+        assert ingest_events(lines).skipped == 1

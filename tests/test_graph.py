@@ -77,6 +77,17 @@ def test_read_pairs_rules():
     assert list(read_pairs(io.StringIO(text))) == [("a b", "c"), ("d", "e")]
 
 
+@pytest.mark.parametrize("text", ["a\tb\nc d\n", "# header\na b\n"])
+def test_read_pairs_drops_a_leading_byte_order_mark(tmp_path, text):
+    path = tmp_path / "pairs.tsv"
+    path.write_text(text, encoding="utf-8-sig")
+    with path.open(encoding="utf-8") as fh:
+        assert list(read_pairs(fh)) == list(read_pairs(io.StringIO(text)))
+    # only one, and only on the first line
+    assert list(read_pairs(["\ufeff\ufeffa\tb"])) == [("\ufeffa", "b")]
+    assert list(read_pairs(["a\tb", "\ufeffc\td"])) == [("a", "b"), ("\ufeffc", "d")]
+
+
 @pytest.mark.parametrize(
     "parse",
     [load_edge_list, read_membership, lambda s: load_partition(s, build_graph([("u1", "u2")]))],

@@ -359,4 +359,7 @@ def test_memo_holds_only_the_vocabulary(fmap):
             f"İnanç dia fair#{i} {i}",
         ]
         score_corpus(lex, fmap, docs, "x")
-    assert set(lex._memo) == {"fair", "loyal", "loyalty", "é", "x²", "i̇nanç", "dia"}
+    # The memo is keyed by whitespace chunk: every chunk without a URL or a handle, and no token.
+    plain = {"Fair", "loyalty", "İnanç", "dia"}
+    plain.update(chunk for i in range(50) for chunk in (f"fair,{i}", f"({i}loyal)", f"é{i}!", f"x²{i}", f"fair#{i}", str(i)))
+    assert set(lex._memo) == plain

@@ -6,6 +6,7 @@ import random
 import re
 import tempfile
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -43,7 +44,7 @@ def stream(tmp_path_factory):
     base = tmp_path_factory.mktemp("stream")
     windows = write_stream(base / "events.jsonl")
     with (base / "events.jsonl").open(encoding="utf-8") as fh:
-        log = ingest_events(fh)
+        log = ingest_events(fh, lexicon=parse_mfd_dic(io.StringIO(TEST_DIC)))
     return log, windows
 
 
@@ -392,6 +393,9 @@ stream_users = st.sampled_from([f"u{i}" for i in range(8)])
     [("u0", "u1", "retweet", True), ("u1", "u2", "retweet", True), ("u2", "u3", "mention", True)],
     {"u0": "a", "u1": "a", "u2": "a", "u3": "a"}, {"retweet", "mention"}, 1, [0.75],
 )
+@example(  # no user of the window has a membership
+    [("u0", "u1", "retweet", True), ("u1", "u2", "retweet", True)], {"u7": "a"}, {"retweet"}, 1, [0.75],
+)
 def test_window_report_equals_the_partition_path(caplog, records, membership, kinds, min_size, rhos):
     inside = [(s, t, k) for s, t, k, in_window in records if in_window]
     lines = [json.dumps({"author": "u0", "text": "ordem", "timestamp": "2022-09-20T00:00:00Z", "kind": "other"})]
@@ -419,6 +423,8 @@ def test_window_report_equals_the_partition_path(caplog, records, membership, ki
     folds = [m for m in messages if "fold into 'other'" in m]
     if folded_groups is None:
         assert folds == []
+    elif folded_groups == 0:  # no user of the window has a membership
+        assert folds == [] and messages.count("window w: none of its users has a membership; it has no community") == 1
     else:
         assert len(folds) == 1 and folds[0].startswith(f"window w: none of its {folded_groups} groups")
     assert [m for m in messages if "undefined relative modularity" in m] == [
@@ -523,7 +529,7 @@ def test_single_community_degenerate_report():
 
 def test_speech_reports(stream, membership):
     log, windows = stream
-    lexicon = parse_mfd_dic(io.StringIO(TEST_DIC))
+    lexicon = log.lexicon
     mapping = _planted_membership()
     reports = run_speech_analysis(
         log, windows, mapping, lexicon, FoundationMap.default()
@@ -540,7 +546,7 @@ def test_speech_reports(stream, membership):
 
 def test_speech_empty_corpus_dropped_with_warning(stream, caplog):
     log, windows = stream
-    lexicon = parse_mfd_dic(io.StringIO(TEST_DIC))
+    lexicon = log.lexicon
     mapping = _planted_membership()
     mapping["ghost_user"] = "ghost"
     with caplog.at_level(logging.WARNING):
@@ -564,7 +570,7 @@ def test_speech_identical_corpora_all_on_frontier(stream):
         )
         for name in ("x", "y", "z")
     ]
-    log = ingest_events(lines)
+    log = ingest_events(lines, lexicon=lexicon)
     mapping = {f"{name}1": name for name in ("x", "y", "z")}
     window = WindowSpec("w", parse_timestamp("2022-09-19"), parse_timestamp("2022-09-21"))
     reports = run_speech_analysis(log, [window], mapping, lexicon, FoundationMap.default())
@@ -592,7 +598,7 @@ def test_include_shares_adds_retweet_text():
             }
         ),
     ]
-    log = ingest_events(lines)
+    log = ingest_events(lines, lexicon=lexicon)
     mapping = {"u1": "g", "u2": "g"}
     window = WindowSpec("w", parse_timestamp("2022-09-19"), parse_timestamp("2022-09-21"))
     fmap = FoundationMap.default()
@@ -620,9 +626,9 @@ def _speech_sha256(tmp_path, include_shares):
         else:
             event["text"] = POST_TEMPLATES[event["target"][0]]
         lines.append(json.dumps(event))
-    log = ingest_events(lines)
-    mapping = {user: user[0] for user in log.users if not user.endswith("7")}
     lexicon = parse_mfd_dic(io.StringIO(TEST_DIC))
+    log = ingest_events(lines, lexicon=lexicon)
+    mapping = {user: user[0] for user in log.users if not user.endswith("7")}
     reports = run_speech_analysis(
         log, stream_windows(), mapping, lexicon, FoundationMap.default(), include_shares=include_shares
     )
@@ -657,7 +663,7 @@ def test_emit_plot_data_structural(tmp_path, stream, analysis_config, membership
 
 def test_emit_plot_data_speech(tmp_path, stream):
     log, windows = stream
-    lexicon = parse_mfd_dic(io.StringIO(TEST_DIC))
+    lexicon = log.lexicon
     report = run_speech_analysis(
         log, windows[:1], _planted_membership(), lexicon, FoundationMap.default()
     )[0]
@@ -860,10 +866,11 @@ SPEECH_WINDOWS = [WindowSpec.from_strings("w1", "2022-09-20", "2022-09-22"), Win
 SPEECH_MEMBERSHIP = {"u0": "a", "u1": "a", "u2": "b", "u4": "c"}
 
 
-def _speech_equals_reference(lines, **options):
-    lexicon = parse_mfd_dic(io.StringIO(TEST_DIC))
+def _speech_equals_reference(lines, dic=TEST_DIC, **options):
+    lexicon = parse_mfd_dic(io.StringIO(dic))
     events, _ = naive_events(lines)
-    log = ingest_events(lines)
+    log = ingest_events(lines, lexicon=lexicon)
+    assert log_rows(log) == naive_events(lines, lexicon)[0]
     got = run_speech_analysis(log, SPEECH_WINDOWS, SPEECH_MEMBERSHIP, lexicon, FoundationMap.default(), **options)
     assert got == reference_speech_analysis(events, SPEECH_WINDOWS, SPEECH_MEMBERSHIP, lexicon, FoundationMap.default(), **options)
 
@@ -871,8 +878,8 @@ def _speech_equals_reference(lines, **options):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(speech_records.map(json.dumps), min_size=1, max_size=25), st.booleans())
 def test_speech_equals_scoring_per_text_strings(lines, include_shares):
-    # The corpora are decoded from the event log's text buffer in batches of
-    # space-joined texts; the scores must equal those of the texts as strings.
+    # The corpora are counted from the match-set ids stored at ingest; the
+    # scores must equal those of the texts as strings, tokenized one by one.
     lines = [*lines, json.dumps({"source": "u0", "target": "u1", "timestamp": "2022-09-20T00:00:00Z", "kind": "reply"})]
     _speech_equals_reference(lines, include_shares=include_shares)
 
@@ -889,3 +896,37 @@ def test_speech_of_corpora_longer_than_one_batch_equals_scoring_per_text_strings
         for _ in range(2_000)
     ]
     _speech_equals_reference(lines)
+
+
+def test_speech_with_more_than_256_match_sets_equals_scoring_per_text_strings():
+    # Word k matches the categories of the bits of k, so 399 words match 399
+    # distinct sets: the ids outgrow a byte partway through ingest, and the
+    # store widens once.
+    names = [*(name for names in FoundationMap.default().axes.values() for name in names), "CareVirtue", "CareVice"]
+    words = ["".join("abcdefghij"[int(digit)] for digit in f"{k:03d}") for k in range(1, 400)]
+    dic = "%\n" + "".join(f"{cid}\t{name}\n" for cid, name in enumerate(names, start=1)) + "%\n" + "".join(
+        f"{word}\t{' '.join(str(bit + 1) for bit in range(10) if k >> bit & 1)}\n" for k, word in enumerate(words, start=1)
+    )
+    rng = random.Random(27)
+    lines = [
+        json.dumps({
+            "author": rng.choice(["u0", "u1", "u2", "u4"]),
+            "text": " ".join(rng.choice([*words, "hoje", "7!", "@ordem"]) for _ in range(rng.randrange(12))),
+            "timestamp": f"2022-09-2{rng.randrange(3)}T00:00:00Z",
+            "kind": rng.choice(EVENT_KINDS),
+        })
+        for _ in range(600)
+    ]
+    lexicon = parse_mfd_dic(io.StringIO(dic))
+    assert isinstance(ingest_events(lines[:20], lexicon=lexicon).token_sets, bytearray)
+    assert isinstance(ingest_events(lines, lexicon=lexicon).token_sets, array)
+    assert len(lexicon.match_sets()) > 256
+    _speech_equals_reference(lines, dic)
+
+
+def test_speech_needs_the_log_ingested_with_its_lexicon(stream):
+    log, windows = stream
+    line = json.dumps({"author": "u1", "text": "ordem", "timestamp": "2022-09-20T00:00:00Z", "kind": "other"})
+    for other in (None, parse_mfd_dic(io.StringIO(TEST_DIC))):
+        with pytest.raises(ValueError, match="not ingested with this lexicon"):
+            run_speech_analysis(ingest_events([line], lexicon=other), windows, {"u1": "a"}, log.lexicon, FoundationMap.default())
